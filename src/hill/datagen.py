@@ -203,15 +203,40 @@ def load_dataset(path):
     return out
 
 
+def _ids_by_doc(id_lists, limit, what):
+    """Flatten per-document id lists into (doc index, id) arrays, raising
+    ValueError naming the document and the id on the first id that is not
+    an integer in [0, limit)."""
+    rows = np.repeat(np.arange(len(id_lists)), [len(ids) for ids in id_lists])
+    flat = [i for ids in id_lists for i in ids]
+    try:
+        ids = np.asarray(flat) if flat else np.zeros(0, dtype=np.int64)
+    except ValueError:  # ragged nested lists among the ids
+        ids = np.zeros(0, dtype=object)
+    if ids.dtype.kind in "iu" and ids.ndim == 1:
+        bad = np.flatnonzero((ids < 0) | (ids >= limit))
+    else:  # floats, strings, nested lists, or integers too large for int64
+        bad = [k for k, i in enumerate(flat) if not _is_int(i) or not 0 <= i < limit]
+    if len(bad):
+        value = flat[bad[0]]
+        reason = f"outside [0, {limit})" if _is_int(value) else "is not an integer"
+        raise ValueError(f"doc {rows[bad[0]]}: {what} id {value!r} {reason}")
+    return rows, ids.astype(np.int64, copy=False)  # numpy int mixes can promote to float
+
+
+def _is_int(x):
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def count_matrix(examples, vocab_size) -> np.ndarray:
+    rows, tokens = _ids_by_doc([ex.tokens for ex in examples], vocab_size, "token")
     counts = np.zeros((len(examples), vocab_size))
-    for i, ex in enumerate(examples):
-        np.add.at(counts[i], np.asarray(ex.tokens, dtype=int), 1.0)
+    np.add.at(counts, (rows, tokens), 1.0)
     return counts
 
 
 def label_matrix(examples, num_labels) -> np.ndarray:
+    rows, labels = _ids_by_doc([ex.labels for ex in examples], num_labels, "label")
     y = np.zeros((len(examples), num_labels))
-    for i, ex in enumerate(examples):
-        y[i, ex.labels] = 1.0
+    y[rows, labels] = 1.0
     return y

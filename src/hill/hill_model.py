@@ -124,14 +124,15 @@ class LabelProjector:
     def forward_batch(self, h):
         h = tn.as_matrix(h, "document embeddings")
         z = tn.matmul(h, self.lin.weight.value)  # (B, d_V), bias applied after the outer
-        x0 = np.einsum("y,bd->byd", self.scale.value[:, 0], z) + self.lin.bias.value[0]
+        x0 = self.scale.value[None] * z[:, None, :]
+        x0 += self.lin.bias.value[0]  # in place: a second (B, |Y|, d_V) temporary tripled this op's time
         return x0, (h, z)
 
     def backward(self, grad_x0, ctx):
         h, z = ctx
         self.lin.bias.grad += grad_x0.sum(axis=(0, 1))[None, :]
-        self.scale.grad += np.einsum("byd,bd->y", grad_x0, z)[:, None]
-        gz = np.einsum("y,byd->bd", self.scale.value[:, 0], grad_x0)
+        self.scale.grad += (grad_x0 @ z[:, :, None]).sum(axis=0)
+        gz = self.scale.value[:, 0] @ grad_x0
         self.lin.weight.grad += h.T @ gz
         return gz @ self.lin.weight.value.T
 
@@ -213,7 +214,7 @@ class StructureEncoder:
         level_ctx = []
         readouts = []
         for s, ffn in zip(self.agg, self.level_ffns):
-            a = np.einsum("ij,bjd->bid", s, x)
+            a = np.matmul(s, x)
             f, fctx = ffn.forward_batch(a)
             readouts.append(f.sum(axis=1) if self.eta == "sum" else f.mean(axis=1))
             level_ctx.append((fctx, f.shape[1]))
@@ -233,7 +234,7 @@ class StructureEncoder:
             if carry is not None:
                 gf = gf + carry
             ga = self.level_ffns[k].backward_batch(gf, fctx)
-            carry = np.einsum("ij,bid->bjd", self.agg[k], ga)
+            carry = np.matmul(self.agg[k].T, ga)
         return carry
 
     def tree_forward(self, x0):
@@ -508,7 +509,8 @@ def train(model: HillModel, train_examples, dev_examples, config: HillConfig, re
                 batches.pop()
             total = 0.0
             for idx in batches:
-                model.zero_grad()
+                opt_enc.zero_grad()
+                opt_struct.zero_grad()
                 loss, _, ctx = model.forward_batch(c_train[idx], y_train[idx])
                 model.backward(ctx)
                 opt_enc.step()

@@ -5,6 +5,14 @@ central-difference gradient checker.
 No autodiff tape: the model graph is small and static, and explicit
 backward functions keep the finite-difference oracle meaningful. All ops
 reject NaN/Inf at their boundaries.
+
+An Adam optimizer owns the storage of its parameter group: it keeps all
+values and all grads in one flat buffer each and rebinds every
+Parameter's ``value`` and ``grad`` to views of those buffers, so a step
+is a handful of in-place vector ops. Code that writes into ``value`` or
+``grad`` in place (``+=``, ``[...] =``, ``fill``) keeps working;
+rebinding either attribute after the optimizer is built detaches that
+parameter from it.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import numpy as np
 
 
 def check_finite(x, name: str):
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"{name} contains non-finite values")
     return x
 
@@ -162,36 +170,62 @@ class LinearLayer:
 
 
 class Adam:
-    """Adam with bias correction; rejects steps with non-finite grads."""
+    """Adam with bias correction; rejects steps with non-finite grads.
+
+    On construction the group's values and grads are copied into one
+    contiguous buffer each, and every Parameter's ``value``/``grad`` is
+    rebound to a reshaped view of them; the moments and two scratch
+    buffers are flat too. A step applies the textbook update
+    elementwise, in place, with the same operations in the same order as
+    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``,
+    ``value -= lr m_hat / (sqrt(v_hat) + eps)``.
+    """
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        size = sum(p.value.size for p in self.params)
+        self.value = np.empty(size)
+        self.grad = np.empty(size)
+        offset = 0
+        for p in self.params:
+            end = offset + p.value.size
+            self.value[offset:end] = p.value.ravel()
+            self.grad[offset:end] = p.grad.ravel()
+            p.value = self.value[offset:end].reshape(p.value.shape)
+            p.grad = self.grad[offset:end].reshape(p.grad.shape)
+            offset = end
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._a = np.empty(size)
+        self._b = np.empty(size)
 
     def step(self):
-        for p in self.params:
-            if not np.all(np.isfinite(p.grad)):
-                raise ValueError(f"non-finite gradient for {p.name}")
+        g = self.grad
+        if not np.isfinite(g).all():
+            bad = next(p for p in self.params if not np.isfinite(p.grad).all())
+            raise ValueError(f"non-finite gradient for {bad.name}")
         self.t += 1
-        for i, p in enumerate(self.params):
-            g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1**self.t)
-            v_hat = self.v[i] / (1 - self.beta2**self.t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        b1, b2, m, v, a, b = self.beta1, self.beta2, self.m, self.v, self._a, self._b
+        np.multiply(m, b1, out=m)
+        np.multiply(g, 1 - b1, out=a)
+        np.add(m, a, out=m)
+        np.multiply(v, b2, out=v)
+        np.multiply(g, 1 - b2, out=a)
+        np.multiply(a, g, out=a)
+        np.add(v, a, out=v)
+        np.divide(m, 1 - b1**self.t, out=a)  # m_hat
+        np.multiply(a, self.lr, out=a)
+        np.divide(v, 1 - b2**self.t, out=b)  # v_hat
+        np.sqrt(b, out=b)
+        np.add(b, self.eps, out=b)
+        np.divide(a, b, out=a)
+        np.subtract(self.value, a, out=self.value)
 
     def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
-
-
-def adam_step(optimizer: Adam):
-    optimizer.step()
+        self.grad.fill(0.0)
 
 
 # -- checkpoints -----------------------------------------------------

@@ -139,6 +139,24 @@ def test_train_and_eval_round_trip(tmp_path, capsys):
     assert lines[1] == "macro_f1 0.7500"
 
 
+@pytest.mark.parametrize("field,bad", [("tokens", -1), ("tokens", 64), ("tokens", 2.5), ("labels", 7)])
+def test_train_rejects_bad_ids(tmp_path, capsys, field, bad):
+    data = tmp_path / "data"
+    args = ["gen-data", "--out", str(data), "--depth", "2", "--branching", "2"]
+    assert main(args + ["--n-train", "8", "--n-dev", "4", "--vocab", "64"]) == 0
+    rows = (data / "train.jsonl").read_text(encoding="utf-8").splitlines()
+    row = json.loads(rows[3])
+    row[field].append(bad)
+    rows[3] = json.dumps(row)
+    (data / "train.jsonl").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["train", "--data", str(data), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: doc 3: ") and f" id {bad!r} " in err[0]
+
+
 def test_eval_with_explicit_label_count(tmp_path, capsys):
     preds = tmp_path / "p.jsonl"
     golds = tmp_path / "g.jsonl"

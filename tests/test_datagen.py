@@ -144,3 +144,21 @@ def test_count_and_label_matrices():
     assert counts.tolist() == [[2.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0]]
     y = label_matrix(docs, 3)
     assert y.tolist() == [[0.0, 1.0, 1.0], [0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "build,docs,message",
+    [
+        (count_matrix, [Example([1], [1]), Example([2, -1], [1])], "doc 1: token id -1 "),
+        (count_matrix, [Example([4], [1])], "doc 0: token id 4 "),
+        (label_matrix, [Example([], []), Example([], [1]), Example([], [0, -2])], "doc 2: label id -2 "),
+        (label_matrix, [Example([], [4])], "doc 0: label id 4 "),
+        (count_matrix, [Example([1], [1]), Example([1.5], [1])], "doc 1: token id 1.5 is not an integer"),
+        (count_matrix, [Example([1, "3"], [1])], "doc 0: token id '3' is not an integer"),
+        (count_matrix, [Example([1, 2**70], [1])], f"doc 0: token id {2**70} outside"),
+        (label_matrix, [Example([], [1]), Example([], [1, [2, 3]])], r"doc 1: label id \[2, 3\] is not"),
+    ],
+)
+def test_count_and_label_matrices_reject_bad_ids(build, docs, message):
+    with pytest.raises(ValueError, match=message):
+        build(docs, 4)

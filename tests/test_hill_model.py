@@ -189,6 +189,70 @@ def test_structure_encoder_gradients(eta):
     assert tn.max_rel_error(gx0, numeric) < 1e-6
 
 
+def einsum_label_projector(proj, h, grad_x0):
+    """Label projector forward and backward written with einsum; returns
+    (x0, grad wrt h, scale grad, weight grad, bias grad)."""
+    z = h @ proj.lin.weight.value
+    x0 = np.einsum("y,bd->byd", proj.scale.value[:, 0], z) + proj.lin.bias.value[0]
+    gscale = np.einsum("byd,bd->y", grad_x0, z)[:, None]
+    gz = np.einsum("y,byd->bd", proj.scale.value[:, 0], grad_x0)
+    gw = h.T @ gz
+    return x0, gz @ proj.lin.weight.value.T, gscale, gw, grad_x0.sum(axis=(0, 1))[None, :]
+
+
+def test_label_projector_matches_einsum_reference():
+    rng = np.random.default_rng(8)
+    proj = LabelProjector(21, 6, 4, rng)
+    proj.lin.bias.value[...] = rng.normal(size=(1, 4))
+    h = rng.normal(size=(5, 6))
+    grad_x0 = rng.normal(size=(5, 21, 4))
+    x0, ctx = proj.forward_batch(h)
+    gh = proj.backward(grad_x0, ctx)
+    got = (x0, gh, proj.scale.grad, proj.lin.weight.grad, proj.lin.bias.grad)
+    for a, b in zip(got, einsum_label_projector(proj, h, grad_x0)):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-12
+
+
+def einsum_structure_encoder(enc, x0, grad_ht):
+    """Structure encoder forward and backward with einsum aggregation;
+    accumulates FFN grads like the real backward and returns (h_T, grad
+    wrt x0)."""
+    x, ctxs, readouts = x0, [], []
+    for s, ffn in zip(enc.agg, enc.level_ffns):
+        f, fctx = ffn.forward_batch(np.einsum("ij,bjd->bid", s, x))
+        readouts.append(f.sum(axis=1) if enc.eta == "sum" else f.mean(axis=1))
+        ctxs.append((fctx, f.shape[1]))
+        x = f
+    carry = 0.0
+    for k in reversed(range(enc.k)):
+        fctx, n = ctxs[k]
+        gf = np.repeat(np.split(grad_ht, enc.k, axis=1)[k][:, None, :], n, axis=1)
+        gf = (gf / n if enc.eta == "mean" else gf) + carry
+        carry = np.einsum("ij,bid->bjd", enc.agg[k], enc.level_ffns[k].backward_batch(gf, fctx))
+    return np.concatenate(readouts, axis=1), carry
+
+
+@pytest.mark.parametrize("eta,k", [("sum", 2), ("mean", 2), ("sum", 3)])
+def test_structure_encoder_matches_einsum_reference(eta, k):
+    h = gen_hierarchy(3, 3, 0)
+    tree = build_coding_tree(hierarchy_to_graph(h), k)
+    rng = np.random.default_rng(9)
+    enc = StructureEncoder(tree, d_v=4, eta=eta, rng=rng)
+    x0 = rng.normal(size=(6, h.num_labels, 4))
+    grad = rng.normal(size=(6, enc.out_dim))
+    ht, ctx = enc.forward_batch(x0)
+    gx0 = enc.backward(grad, ctx)
+    grads = [p.grad.copy() for p in enc.params()]
+    for p in enc.params():
+        p.zero_grad()
+    ht_ref, gx0_ref = einsum_structure_encoder(enc, x0, grad)
+    assert np.max(np.abs(ht - ht_ref)) <= 1e-12
+    assert np.max(np.abs(gx0 - gx0_ref)) <= 1e-12
+    for g, p in zip(grads, enc.params()):
+        assert np.max(np.abs(g - p.grad)) <= 1e-12
+
+
 # -- assembled model -------------------------------------------------
 
 

@@ -127,6 +127,75 @@ def test_adam_rejects_non_finite_grad():
         tn.Adam([p], lr=0.1).step()
 
 
+def textbook_adam(values, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Per-parameter Adam written out with fresh arrays; the reference
+    the flat in-place optimizer must match bit for bit."""
+    out = []
+    for i, (x, g) in enumerate(zip(values, grads)):
+        m[i] = b1 * m[i] + (1 - b1) * g
+        v[i] = b2 * v[i] + (1 - b2) * g * g
+        m_hat = m[i] / (1 - b1**t)
+        v_hat = v[i] / (1 - b2**t)
+        out.append(x - lr * m_hat / (np.sqrt(v_hat) + eps))
+    return out
+
+
+def test_flat_adam_matches_textbook_bit_for_bit():
+    rng = np.random.default_rng(11)
+    shapes = [(3, 4), (1, 5), (7, 1), (2, 2)]
+    params = [tn.Parameter(f"p{i}", rng.normal(size=s)) for i, s in enumerate(shapes)]
+    ref = [p.value.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    opt = tn.Adam(params, lr=0.01)
+    for t in range(1, 6):
+        opt.zero_grad()
+        grads = [rng.normal(scale=10.0 ** rng.integers(-3, 3), size=s) for s in shapes]
+        for p, g in zip(params, grads):
+            p.grad += g
+        opt.step()
+        ref = textbook_adam(ref, grads, m, v, t, lr=0.01)
+        for p, r in zip(params, ref):
+            assert np.array_equal(p.value, r)
+
+
+def test_adam_zero_grad_clears_every_parameter():
+    params = [tn.Parameter("a", np.ones((2, 3))), tn.Parameter("b", np.ones((1, 2)))]
+    opt = tn.Adam(params, lr=0.1)
+    for p in params:
+        p.grad += 1.0
+    opt.zero_grad()
+    assert all(not p.grad.any() for p in params)
+
+
+def test_adam_non_finite_grad_touches_no_value():
+    params = [tn.Parameter("a", np.ones((2, 3))), tn.Parameter("b", np.ones((1, 2)))]
+    opt = tn.Adam(params, lr=0.1)
+    params[0].grad += 1.0
+    params[1].grad[0, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite gradient for b"):
+        opt.step()
+    assert all(np.array_equal(p.value, np.ones_like(p.value)) for p in params)
+    assert opt.t == 0
+
+
+def test_load_checkpoint_after_adam_feeds_the_optimizer(tmp_path):
+    rng = np.random.default_rng(12)
+    saved = [tn.Parameter("a", rng.normal(size=(3, 2))), tn.Parameter("b", rng.normal(size=(1, 4)))]
+    path = tmp_path / "ckpt.json"
+    tn.save_checkpoint(saved, path)
+    params = [tn.Parameter("a", np.zeros((3, 2))), tn.Parameter("b", np.zeros((1, 4)))]
+    opt = tn.Adam(params, lr=0.05)
+    tn.load_checkpoint(params, path)
+    grads = [rng.normal(size=(3, 2)), rng.normal(size=(1, 4))]
+    for p, g in zip(params, grads):
+        p.grad += g
+    opt.step()
+    ref = textbook_adam([p.value for p in saved], grads, [0.0, 0.0], [0.0, 0.0], 1, lr=0.05)
+    for p, r in zip(params, ref):
+        assert np.array_equal(p.value, r)
+
+
 def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     a = tn.Parameter("a", rng.normal(size=(3, 2)))
