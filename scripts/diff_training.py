@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Differential check of two source trees on the default training run.
+"""Differential check of this tree against a reference checkout on the
+seed-42 default training run.
 
 Runs scripts/train_default.py once against each tree's `src/` (in a
 subprocess, one BLAS thread) and compares the per-epoch reports: dev
@@ -7,7 +8,7 @@ micro- and macro-F1 must be identical in every epoch and train loss
 within 1e-6 relative. Exits 1 on any mismatch.
 
     mkdir ../hill-parent && git archive HEAD~1 | tar -x -C ../hill-parent
-    python scripts/diff_training.py --ref ../hill-parent --new . --seed 42
+    python scripts/diff_training.py --ref ../hill-parent
 """
 
 import argparse
@@ -18,12 +19,14 @@ import sys
 from pathlib import Path
 
 LOSS_RTOL = 1e-6
-TRAIN_SCRIPT = Path(__file__).resolve().with_name("train_default.py")
+SEED = 42
+TREE = Path(__file__).resolve().parents[1]
+TRAIN_SCRIPT = TREE / "scripts" / "train_default.py"
 
 
-def run_report(tree, seed):
+def run_report(tree):
     env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"), OPENBLAS_NUM_THREADS="1")
-    cmd = [sys.executable, str(TRAIN_SCRIPT), "--seed", str(seed)]
+    cmd = [sys.executable, str(TRAIN_SCRIPT), "--seed", str(SEED)]
     out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True).stdout
     return [json.loads(line) for line in out.splitlines() if line.strip()]
 
@@ -48,11 +51,9 @@ def compare(ref, new, rtol):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ref", required=True, help="reference checkout (holds src/hill)")
-    parser.add_argument("--new", default=".", help="checkout under test (default: .)")
-    parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
-    ref = run_report(args.ref, args.seed)
-    new = run_report(args.new, args.seed)
+    ref = run_report(args.ref)
+    new = run_report(TREE)
     worst, problems = compare(ref, new, LOSS_RTOL)
     print(f"epochs {len(new)}; max train-loss rel diff {worst:.3e}; mismatches {len(problems)}")
     for p in problems:

@@ -82,11 +82,12 @@ def _cmd_train(args):
     else:
         config = HillConfig(**overrides)
     h = datagen.load_taxonomy(data / "taxonomy.txt")
-    train_docs = datagen.load_dataset(data / "train.jsonl")
-    dev_docs = datagen.load_dataset(data / "dev.jsonl")
+    vocab = meta["vocab_size"]
+    train_docs = datagen.load_dataset(data / "train.jsonl", vocab, h.num_labels)
+    dev_docs = datagen.load_dataset(data / "dev.jsonl", vocab, h.num_labels)
     graph = datagen.hierarchy_to_graph(h)
     tree = build_coding_tree(graph, config.K)
-    model = HillModel(config, meta["vocab_size"], h.num_labels, tree)
+    model = HillModel(config, vocab, h.num_labels, tree)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     config.to_json_file(out / "config.json")

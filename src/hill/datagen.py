@@ -189,43 +189,49 @@ def save_dataset(examples, path):
             fh.write(json.dumps({"tokens": ex.tokens, "labels": ex.labels}) + "\n")
 
 
-def load_dataset(path):
+def load_dataset(path, vocab_size=None, num_labels=None):
+    """Read a JSONL dataset. Every id must be an integer, not negative and,
+    when the limit is given, below vocab_size (tokens) or num_labels
+    (labels); otherwise ValueError names the file, the line and the id."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
+            where = f"{path}: line {lineno}"
             obj = json.loads(line)
-            if "labels" not in obj:
-                raise ValueError(f"line {lineno}: missing 'labels'")
-            out.append(Example(tokens=list(obj.get("tokens", [])), labels=list(obj["labels"])))
+            if not isinstance(obj, dict) or "labels" not in obj:
+                raise ValueError(f"{where}: missing 'labels'")
+            tokens = _checked_ids(obj.get("tokens", []), vocab_size, "token", where)
+            labels = _checked_ids(obj["labels"], num_labels, "label", where)
+            out.append(Example(tokens=tokens, labels=labels))
     return out
+
+
+def _checked_ids(ids, limit, what, where):
+    if not isinstance(ids, list):
+        raise ValueError(f"{where}: {what}s {ids!r} is not a list")
+    for i in ids:
+        if type(i) is not int:  # rejects 1.5, "3", true and nested lists
+            raise ValueError(f"{where}: {what} id {i!r} is not an integer")
+        if i < 0:
+            raise ValueError(f"{where}: {what} id {i} is negative")
+        if limit is not None and i >= limit:
+            raise ValueError(f"{where}: {what} id {i} outside [0, {limit})")
+    return ids
 
 
 def _ids_by_doc(id_lists, limit, what):
     """Flatten per-document id lists into (doc index, id) arrays, raising
-    ValueError naming the document and the id on the first id that is not
-    an integer in [0, limit)."""
+    ValueError naming the document and the id on the first id outside
+    [0, limit)."""
     rows = np.repeat(np.arange(len(id_lists)), [len(ids) for ids in id_lists])
-    flat = [i for ids in id_lists for i in ids]
-    try:
-        ids = np.asarray(flat) if flat else np.zeros(0, dtype=np.int64)
-    except ValueError:  # ragged nested lists among the ids
-        ids = np.zeros(0, dtype=object)
-    if ids.dtype.kind in "iu" and ids.ndim == 1:
-        bad = np.flatnonzero((ids < 0) | (ids >= limit))
-    else:  # floats, strings, nested lists, or integers too large for int64
-        bad = [k for k, i in enumerate(flat) if not _is_int(i) or not 0 <= i < limit]
-    if len(bad):
-        value = flat[bad[0]]
-        reason = f"outside [0, {limit})" if _is_int(value) else "is not an integer"
-        raise ValueError(f"doc {rows[bad[0]]}: {what} id {value!r} {reason}")
-    return rows, ids.astype(np.int64, copy=False)  # numpy int mixes can promote to float
-
-
-def _is_int(x):
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    ids = np.asarray([i for ids in id_lists for i in ids], dtype=np.int64)
+    bad = np.flatnonzero((ids < 0) | (ids >= limit))
+    if bad.size:
+        raise ValueError(f"doc {rows[bad[0]]}: {what} id {ids[bad[0]]} outside [0, {limit})")
+    return rows, ids
 
 
 def count_matrix(examples, vocab_size) -> np.ndarray:

@@ -509,8 +509,7 @@ def train(model: HillModel, train_examples, dev_examples, config: HillConfig, re
                 batches.pop()
             total = 0.0
             for idx in batches:
-                opt_enc.zero_grad()
-                opt_struct.zero_grad()
+                model.zero_grad()
                 loss, _, ctx = model.forward_batch(c_train[idx], y_train[idx])
                 model.backward(ctx)
                 opt_enc.step()

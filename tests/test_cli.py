@@ -154,7 +154,7 @@ def test_train_rejects_bad_ids(tmp_path, capsys, field, bad):
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
-    assert err[0].startswith("error: doc 3: ") and f" id {bad!r} " in err[0]
+    assert err[0].startswith("error: ") and f"train.jsonl: line 4: {field[:-1]} id {bad!r} " in err[0]
 
 
 def test_eval_with_explicit_label_count(tmp_path, capsys):

@@ -153,12 +153,36 @@ def test_count_and_label_matrices():
         (count_matrix, [Example([4], [1])], "doc 0: token id 4 "),
         (label_matrix, [Example([], []), Example([], [1]), Example([], [0, -2])], "doc 2: label id -2 "),
         (label_matrix, [Example([], [4])], "doc 0: label id 4 "),
-        (count_matrix, [Example([1], [1]), Example([1.5], [1])], "doc 1: token id 1.5 is not an integer"),
-        (count_matrix, [Example([1, "3"], [1])], "doc 0: token id '3' is not an integer"),
-        (count_matrix, [Example([1, 2**70], [1])], f"doc 0: token id {2**70} outside"),
-        (label_matrix, [Example([], [1]), Example([], [1, [2, 3]])], r"doc 1: label id \[2, 3\] is not"),
     ],
 )
 def test_count_and_label_matrices_reject_bad_ids(build, docs, message):
     with pytest.raises(ValueError, match=message):
         build(docs, 4)
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ('{"tokens": [1, -1], "labels": [1]}', "token id -1 is negative"),
+        ('{"tokens": [1, 4], "labels": [1]}', r"token id 4 outside \[0, 4\)"),
+        ('{"tokens": [1], "labels": [3]}', r"label id 3 outside \[0, 3\)"),
+        ('{"tokens": [1, 1.5], "labels": [1]}', "token id 1.5 is not an integer"),
+        ('{"tokens": [1, "3"], "labels": [1]}', "token id '3' is not an integer"),
+        ('{"tokens": [1, true], "labels": [1]}', "token id True is not an integer"),
+        ('{"tokens": [1], "labels": [1, [2]]}', r"label id \[2\] is not an integer"),
+        ('{"tokens": [1], "labels": 3}', "labels 3 is not a list"),
+        ("[1]", "missing 'labels'"),
+    ],
+)
+def test_load_dataset_rejects_bad_ids(tmp_path, line, message):
+    p = tmp_path / "bad.jsonl"
+    p.write_text('{"tokens": [0], "labels": [0]}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"bad.jsonl: line 2: {message}"):
+        load_dataset(p, vocab_size=4, num_labels=3)
+
+
+def test_load_dataset_without_limits_still_rejects_negative_ids(tmp_path):
+    p = tmp_path / "preds.jsonl"
+    p.write_text('{"labels": [7, 99]}\n{"labels": [-1]}\n', encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2: label id -1 is negative"):
+        load_dataset(p)
