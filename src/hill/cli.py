@@ -71,9 +71,20 @@ def _cmd_gen_data(args):
     log.info("wrote dataset with %d labels to %s", h.num_labels, out)
 
 
+def _vocab_size(meta_path: Path) -> int:
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from None
+    vocab = meta.get("vocab_size") if isinstance(meta, dict) else None
+    if not isinstance(vocab, int) or isinstance(vocab, bool) or vocab < 1:
+        raise ValueError(f"{meta_path}: vocab_size must be a positive integer, got {vocab!r}")
+    return vocab
+
+
 def _cmd_train(args):
     data = Path(args.data)
-    meta = json.loads((data / "meta.json").read_text(encoding="utf-8"))
+    vocab = _vocab_size(data / "meta.json")
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -82,7 +93,6 @@ def _cmd_train(args):
     else:
         config = HillConfig(**overrides)
     h = datagen.load_taxonomy(data / "taxonomy.txt")
-    vocab = meta["vocab_size"]
     train_docs = datagen.load_dataset(data / "train.jsonl", vocab, h.num_labels)
     dev_docs = datagen.load_dataset(data / "dev.jsonl", vocab, h.num_labels)
     graph = datagen.hierarchy_to_graph(h)

@@ -314,14 +314,33 @@ class CodingTree:
         return json.dumps(self.to_json_obj(), sort_keys=True)
 
     @classmethod
-    def from_json_obj(cls, graph: Graph, obj: dict) -> "CodingTree":
+    def from_json_obj(cls, graph: Graph, obj) -> "CodingTree":
+        """Tree from the object `to_json_obj` writes; leaves mark graph
+        vertices in the order they are listed. Raises ValueError on any
+        malformed or inconsistent input."""
+        entries = obj.get("nodes") if isinstance(obj, dict) else None
+        if not isinstance(entries, list):
+            raise ValueError("tree JSON must be an object with a 'nodes' list")
         tree = cls(graph)
-        entries = obj["nodes"]
         vertex = 0
         roots = []
-        for e in entries:
-            node = TreeNode(e["id"], e["parent"], None, 0, 0, 0)
-            node.children = list(e["children"])
+        for i, e in enumerate(entries):
+            if not isinstance(e, dict) or not {"id", "parent", "children"} <= e.keys():
+                raise ValueError(f"tree node {i}: expected an object with id, parent and children")
+            nid, parent, children = e["id"], e["parent"], e["children"]
+            if not (
+                _is_id(nid)
+                and (parent is None or _is_id(parent))
+                and isinstance(children, list)
+                and all(_is_id(c) for c in children)
+            ):
+                raise ValueError(
+                    f"tree node {i}: id and children must be integers, parent an integer or null"
+                )
+            if nid in tree.nodes:
+                raise ValueError(f"duplicate tree node id {nid}")
+            node = TreeNode(nid, parent, None, 0, 0, 0)
+            node.children = list(children)
             if not node.children:
                 if vertex >= graph.node_count:
                     raise ValueError("more leaves than graph vertices")
@@ -334,6 +353,15 @@ class CodingTree:
             raise ValueError("leaf count does not match graph vertex count")
         if len(roots) != 1:
             raise ValueError(f"expected exactly one root, found {len(roots)}")
+        # with every child naming its lister as parent, the walk below
+        # from the root ends; validate() rejects any node it reaches twice
+        # or never reaches (cycles included)
+        for n in tree.nodes.values():
+            for c in n.children:
+                if c not in tree.nodes or tree.nodes[c].parent != n.id:
+                    raise ValueError(
+                        f"tree node {n.id}: child {c} is missing or names another parent"
+                    )
         tree.root_id = roots[0]
         tree._next_id = max(tree.nodes) + 1
         # depths top-down, subsets and caches bottom-up
@@ -358,6 +386,10 @@ class CodingTree:
     @classmethod
     def from_json(cls, graph: Graph, text: str) -> "CodingTree":
         return cls.from_json_obj(graph, json.loads(text))
+
+
+def _is_id(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def initial_tree(g: Graph) -> CodingTree:

@@ -6,8 +6,25 @@ between refining at the root or refining every parent-of-leaves node,
 whichever merged tree has lower entropy. The inner two-level step
 compresses the best sibling pair until two children remain, then deletes
 the internal node with the smallest entropy increase until height 2.
-All argmax/argmin ties break on the lexicographically smallest node-id
-pair, so construction is deterministic.
+
+Both steps score moves with exact closed forms (Li & Pan 2016):
+
+    delta_compress(a, b) = (2 * cross(a, b) / vol G) * log2(vol gamma / vol parent)
+    delta_remove(v) = ((sum of cut(children) - cut(v)) / vol G) * log2(vol parent / vol v)
+
+So compressing two siblings that share no edge changes entropy by exactly
+0, and every adjacent pair gives a strictly negative delta. The compress
+loop keeps a sibling super-graph of cross-edge counts (a merged node's row
+is the sum of its two rows) and heaps only adjacent pairs; an entry stays
+valid while both its nodes are alive, because a pair's delta depends only
+on the pair and their fixed parent. When no adjacent pair is left, every
+delta is 0 and the two lowest alive ids are compressed. The removal loop
+keeps a lazily invalidated min-heap of (delta, id): removing v changes only
+the deltas of v's children and of v's parent, which are re-scored.
+
+Every argmin breaks ties on the smallest (delta, node-id pair) or
+(delta, node id), so construction is deterministic and picks exactly what
+an exhaustive argmin over the same deltas would.
 """
 
 from __future__ import annotations
@@ -15,7 +32,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from .coding_tree import CodingTree, TreeNode, initial_tree
+from .coding_tree import CodingTree, initial_tree
 from .graph import Graph, cross_edges, cut_size, subset_volume
 
 ORACLE_MAX_VERTICES = {2: 8, 3: 5}
@@ -27,43 +44,38 @@ def _term(cut, vol, parent_vol, vol_g):
     return -(cut / vol_g) * math.log2(vol / parent_vol)
 
 
-def delta_compress(tree: CodingTree, a_id: int, b_id: int) -> float:
-    """Entropy change of compress(a, b), from cached local quantities only.
+def delta_compress(tree: CodingTree, a_id: int, b_id: int, cross: int | None = None) -> float:
+    """Entropy change of compress(a, b):
+    (2 * cross(a, b) / vol G) * log2((vol a + vol b) / vol parent).
 
-    Equals structural_entropy(after) - structural_entropy(before) exactly.
+    Exactly 0.0 when a and b share no edge. `cross` is the number of
+    edges between a and b when the caller already knows it; otherwise it
+    is counted from the graph.
     """
     if a_id == b_id:
         raise ValueError("compress needs two distinct nodes")
     a, b = tree.nodes[a_id], tree.nodes[b_id]
     if a.parent is None or a.parent != b.parent:
         raise ValueError(f"nodes {a_id} and {b_id} are not siblings")
-    vol_g = tree.graph.volume
+    if cross is None:
+        cross = cross_edges(tree.graph, a.subset, b.subset)
+    if cross == 0:
+        return 0.0
     parent_vol = tree.nodes[a.parent].volume
-    gamma_vol = a.volume + b.volume
-    gamma_cut = a.cut + b.cut - 2 * cross_edges(tree.graph, a.subset, b.subset)
-    before = _term(a.cut, a.volume, parent_vol, vol_g) + _term(b.cut, b.volume, parent_vol, vol_g)
-    after = (
-        _term(a.cut, a.volume, gamma_vol, vol_g)
-        + _term(b.cut, b.volume, gamma_vol, vol_g)
-        + _term(gamma_cut, gamma_vol, parent_vol, vol_g)
-    )
-    return after - before
+    return (2 * cross / tree.graph.volume) * math.log2((a.volume + b.volume) / parent_vol)
 
 
 def delta_remove(tree: CodingTree, v_id: int) -> float:
-    """Entropy change of remove_node(v), from cached local quantities only."""
+    """Entropy change of remove_node(v):
+    ((sum of cut(children) - cut(v)) / vol G) * log2(vol parent / vol v)."""
     v = tree.nodes[v_id]
     if v.parent is None:
         raise ValueError("cannot remove the root")
     if v.is_leaf():
         raise ValueError(f"cannot remove leaf {v_id}")
-    vol_g = tree.graph.volume
+    inner = sum(tree.nodes[c].cut for c in v.children) - v.cut
     parent_vol = tree.nodes[v.parent].volume
-    delta = -_term(v.cut, v.volume, parent_vol, vol_g)
-    for c_id in v.children:
-        c = tree.nodes[c_id]
-        delta += _term(c.cut, c.volume, parent_vol, vol_g) - _term(c.cut, c.volume, v.volume, vol_g)
-    return delta
+    return (inner / tree.graph.volume) * math.log2(parent_vol / v.volume)
 
 
 def _sub_tree_over_children(tree: CodingTree, v_id: int) -> CodingTree:
@@ -82,44 +94,106 @@ def _sub_tree_over_children(tree: CodingTree, v_id: int) -> CodingTree:
     return sub
 
 
+def _sibling_graph(sub: CodingTree) -> dict:
+    """{child id: {adjacent sibling id: cross-edge count}} over the root's
+    children, counted once from the graph's adjacency."""
+    owner = {}
+    for c in sub.nodes[sub.root_id].children:
+        for u in sub.nodes[c].subset:
+            owner[u] = c
+    rows = {c: {} for c in sub.nodes[sub.root_id].children}
+    adjacency = sub.graph.adjacency
+    for u, c in owner.items():
+        row = rows[c]
+        for w in adjacency[u]:
+            d = owner.get(w)
+            if d is not None and d != c:
+                row[d] = row.get(d, 0) + 1
+    return rows
+
+
+def _compress_to_binary(sub: CodingTree) -> None:
+    """Compress the root's children pairwise, best pair first, until the
+    root has two children."""
+    root = sub.nodes[sub.root_id]
+    rows = _sibling_graph(sub)
+    heap = [
+        (delta_compress(sub, a, b, w), a, b)
+        for a, row in rows.items()
+        for b, w in row.items()
+        if a < b
+    ]
+    heapq.heapify(heap)
+    by_id = sorted(rows)  # alive ids, lowest first, for the no-adjacent-pair case
+    while len(root.children) > 2:
+        while heap and (heap[0][1] not in rows or heap[0][2] not in rows):
+            heapq.heappop(heap)
+        if heap:
+            _, a, b = heapq.heappop(heap)
+        else:  # every delta is exactly 0: the lowest-id pair wins the tie
+            pair = []
+            while len(pair) < 2:
+                x = heapq.heappop(by_id)
+                if x in rows:
+                    pair.append(x)
+            a, b = pair
+        gamma = sub.compress(a, b)
+        row = rows.pop(a)
+        for x, w in rows.pop(b).items():
+            row[x] = row.get(x, 0) + w
+        row.pop(a, None)
+        row.pop(b, None)
+        for x, w in row.items():
+            x_row = rows[x]
+            x_row.pop(a, None)
+            x_row.pop(b, None)
+            x_row[gamma] = w
+            heapq.heappush(heap, (delta_compress(sub, x, gamma, w), x, gamma))
+        rows[gamma] = row
+        heapq.heappush(by_id, gamma)
+
+
+def _remove_to_height_two(sub: CodingTree) -> None:
+    """Delete the internal node of least delta_remove until every internal
+    node hangs off the root (height 2 once aligned)."""
+    root_id = sub.root_id
+    score = {}
+    heap = []
+
+    def rescore(n_id):
+        score[n_id] = d = delta_remove(sub, n_id)
+        heapq.heappush(heap, (d, n_id))
+
+    deep = 0  # internal nodes whose parent is not the root
+    for n in sub.nodes.values():
+        if n.parent is not None and not n.is_leaf():
+            rescore(n.id)
+            deep += n.parent != root_id
+    while deep:
+        d, v_id = heapq.heappop(heap)
+        if score.get(v_id) != d:
+            continue
+        del score[v_id]
+        v = sub.nodes[v_id]
+        parent, kids = v.parent, v.children
+        deep -= parent != root_id
+        sub.remove_node(v_id)
+        for c in kids:
+            if not sub.nodes[c].is_leaf():
+                deep -= parent == root_id
+                rescore(c)
+        if parent != root_id:
+            rescore(parent)
+
+
 def build_two_level(tree: CodingTree, v_id: int) -> CodingTree:
     """Two-level sub-tree over v's children: greedy pair compression,
     then minimum-increase deletion down to height 2, then align."""
     if tree.nodes[v_id].is_leaf():
         raise ValueError(f"node {v_id} is a leaf")
     sub = _sub_tree_over_children(tree, v_id)
-    root = sub.nodes[sub.root_id]
-
-    # compress loop: max-heap of pair deltas, lazily invalidated
-    heap = []
-    alive = set(root.children)
-    members = sorted(alive)
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            heapq.heappush(heap, (delta_compress(sub, a, b), a, b))
-    while len(root.children) > 2:
-        delta, a, b = heapq.heappop(heap)
-        if a not in alive or b not in alive:
-            continue
-        gamma = sub.compress(a, b)
-        alive.discard(a)
-        alive.discard(b)
-        for other in sorted(alive):
-            pair = (min(other, gamma), max(other, gamma))
-            heapq.heappush(heap, (delta_compress(sub, *pair), *pair))
-        alive.add(gamma)
-
-    # removal loop: flatten back down to height 2
-    while sub.height > 2:
-        best = None
-        for n in sub.nodes.values():
-            if n.parent is None or n.is_leaf():
-                continue
-            key = (delta_remove(sub, n.id), n.id)
-            if best is None or key < best:
-                best = key
-        sub.remove_node(best[1])
-
+    _compress_to_binary(sub)
+    _remove_to_height_two(sub)
     sub.align(2)
     return sub
 

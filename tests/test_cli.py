@@ -1,11 +1,13 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hill.cli import main
 from hill.coding_tree import CodingTree, initial_tree
 from hill.datagen import Example, save_dataset
-from hill.graph import load_graph_file
+from hill.graph import load_graph, load_graph_file
 
 CYCLE4 = "0 1\n1 2\n2 3\n3 0\n"
 BRIDGE = "0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n2 3\n"
@@ -179,3 +181,94 @@ def test_bad_graph_exits_nonzero(tmp_path, capsys):
     rc = main(["build-tree", "--graph", str(p), "--height", "2"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "meta", [{}, {"vocab_size": 0}, {"vocab_size": "64"}, {"vocab_size": 2.5}, []]
+)
+def test_train_rejects_bad_meta(tmp_path, capsys, meta):
+    data = tmp_path / "data"
+    args = ["gen-data", "--out", str(data), "--depth", "2", "--branching", "2"]
+    assert main(args + ["--n-train", "8", "--n-dev", "4", "--vocab", "64"]) == 0
+    (data / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "meta.json" in err[0] and "vocab_size" in err[0]
+
+
+# -- malformed tree JSON through `hill entropy` -------------------------
+
+_CYCLE4_TREE = initial_tree(load_graph(CYCLE4)).to_json_obj()["nodes"]
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats() | st.text(max_size=3),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+_not_an_id = st.none() | st.booleans() | st.floats() | st.text(max_size=3) | st.lists(st.integers())
+_not_a_parent = _not_an_id.filter(lambda x: x is not None)
+_not_children = (st.none() | st.integers() | st.text(max_size=3)) | st.lists(
+    st.integers(0, 4), max_size=2
+).flatmap(lambda ok: _not_an_id.map(lambda bad: ok + [bad]))
+
+
+_BREAKS = (
+    "drop key",
+    "bad id",
+    "bad parent",
+    "bad children",
+    "missing child",
+    "duplicate",
+    "drop node",
+    "cycle",
+)
+
+
+@st.composite
+def _broken_tree(draw):
+    """The valid cycle4 tree with one change that always breaks it."""
+    nodes = [dict(n) for n in _CYCLE4_TREE]
+    i = draw(st.integers(0, len(nodes) - 1))
+    kind = draw(st.sampled_from(_BREAKS))
+    if kind == "drop key":
+        del nodes[i][draw(st.sampled_from(["id", "parent", "children"]))]
+    elif kind == "bad id":
+        nodes[i]["id"] = draw(_not_an_id)
+    elif kind == "bad parent":
+        nodes[i]["parent"] = draw(_not_a_parent)
+    elif kind == "bad children":
+        nodes[i]["children"] = draw(_not_children)
+    elif kind == "missing child":
+        nodes[i]["children"] = nodes[i]["children"] + [draw(st.integers(5, 99))]
+    elif kind == "duplicate":
+        nodes.append(dict(nodes[i]))
+    elif kind == "drop node":
+        del nodes[i]
+    else:
+        nodes += [{"id": 7, "parent": 8, "children": [8]}, {"id": 8, "parent": 7, "children": [7]}]
+    return {"height": 1, "nodes": nodes}
+
+
+_not_a_tree = st.one_of(
+    _json.filter(lambda x: not isinstance(x, dict) or not isinstance(x.get("nodes"), list)),
+    st.lists(_json, max_size=4).map(lambda nodes: {"nodes": nodes}),
+    _broken_tree(),
+)
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(obj=_not_a_tree)
+def test_entropy_rejects_malformed_tree_json(tmp_path, cycle4_file, capsys, obj):
+    tree_path = tmp_path / "tree.json"
+    tree_path.write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["entropy", "--graph", str(cycle4_file), "--tree", str(tree_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

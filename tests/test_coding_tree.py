@@ -192,6 +192,42 @@ def test_from_json_rejects_wrong_leaf_count(cycle4):
         CodingTree.from_json(cycle4, tree.to_json())
 
 
+def _cycle4_nodes():
+    """initial_tree(cycle4) as JSON: leaves 0-3 under root 4."""
+    return initial_tree(build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])).to_json_obj()["nodes"]
+
+
+def _with(nodes, node_id, **fields):
+    return [dict(n, **fields) if n["id"] == node_id else n for n in nodes]
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [1],
+        None,
+        {"nodes": 3},
+        {"nodes": [{"id": 0}]},
+        {"nodes": [1, 2]},
+        {"nodes": _with(_cycle4_nodes(), 4, children=[0, 1, 2, 3, 9])},  # missing child
+        {"nodes": _cycle4_nodes() + [{"id": 0, "parent": 4, "children": [1]}]},  # duplicate id
+        {  # a cycle beside the tree
+            "nodes": _cycle4_nodes()
+            + [{"id": 7, "parent": 8, "children": [8]}, {"id": 8, "parent": 7, "children": [7]}]
+        },
+        {"nodes": _with(_cycle4_nodes(), 4, children=[0, 1, 2, 3, 3])},  # child listed twice
+        {"nodes": _with(_cycle4_nodes(), 0, parent=3)},  # parent does not list it
+        {"nodes": _with(_cycle4_nodes(), 0, id=True)},
+        {"nodes": _with(_cycle4_nodes(), 0, parent="4")},
+        {"nodes": _with(_cycle4_nodes(), 4, children=[0, 1, 2, 3.0])},
+    ],
+)
+def test_from_json_rejects_malformed_input(cycle4, obj):
+    with pytest.raises(ValueError):
+        CodingTree.from_json_obj(cycle4, obj)
+
+
 def test_validate_catches_stale_cache(cycle4):
     tree = initial_tree(cycle4)
     tree.nodes[0].volume += 1

@@ -1,10 +1,15 @@
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hill.coding_tree import initial_tree
+from hill import entropy_min
+from hill.coding_tree import CodingTree, initial_tree
+from hill.datagen import gen_hierarchy, hierarchy_to_graph
 from hill.entropy_min import (
+    _sub_tree_over_children,
     build_coding_tree,
     build_two_level,
     delta_compress,
@@ -154,3 +159,174 @@ def test_oracle_limits(cycle4):
     big = build_graph(9, [(i, (i + 1) % 9) for i in range(9)])
     with pytest.raises(ValueError, match="limited"):
         oracle_min_entropy(big, 2)
+
+
+# -- exact ties --------------------------------------------------------
+
+
+def test_delta_compress_exact_zero_and_sign():
+    rng = np.random.default_rng(5)
+    seen = {True: 0, False: 0}
+    for _ in range(60):
+        g = random_graph(rng, n_min=4, n_max=8, p=0.4)
+        tree = initial_tree(g)
+        for a in range(g.node_count):
+            for b in range(a + 1, g.node_count):
+                adjacent = b in g.adjacency[a]
+                d = delta_compress(tree, a, b)
+                if adjacent:
+                    assert d < 0
+                else:
+                    assert d == 0.0
+                seen[adjacent] += 1
+    assert min(seen.values()) > 100
+
+
+def _two_groups(g, left):
+    """Height-2 tree with `left` under one node and the other vertices
+    under another."""
+    n = g.node_count
+    g_left, g_right, root = n, n + 1, n + 2
+    nodes = [
+        {"id": v, "parent": g_left if v in left else g_right, "children": []} for v in range(n)
+    ]
+    nodes += [
+        {"id": g_left, "parent": root, "children": sorted(left)},
+        {"id": g_right, "parent": root, "children": sorted(set(range(n)) - set(left))},
+        {"id": root, "parent": None, "children": [g_left, g_right]},
+    ]
+    return CodingTree.from_json_obj(g, {"nodes": nodes})
+
+
+def _first_compress(monkeypatch, tree, v_id):
+    calls = []
+    compress = CodingTree.compress
+
+    def spy(self, a, b):
+        calls.append((a, b))
+        return compress(self, a, b)
+
+    monkeypatch.setattr(CodingTree, "compress", spy)
+    build_two_level(tree, v_id)
+    return calls[0]
+
+
+def test_first_compress_takes_lowest_pair_on_a_symmetric_star(monkeypatch):
+    # every (centre, leaf) pair has the same delta
+    g = build_graph(9, [(0, i) for i in range(1, 9)])
+    tree = initial_tree(g)
+    assert _first_compress(monkeypatch, tree, tree.root_id) == (0, 1)
+
+
+def test_first_compress_takes_lowest_pair_among_zero_deltas(monkeypatch):
+    # left vertex i joins the first (1, 1, 2, 3)[i] right vertices: the
+    # left group's members share no edge, so every pair ties at exactly 0
+    edges = [(i, 4 + j) for i, d in enumerate((1, 1, 2, 3)) for j in range(d)]
+    tree = _two_groups(build_graph(7, edges), {0, 1, 2, 3})
+    group = tree.nodes[0].parent
+    assert all(delta_compress(tree, a, b) == 0.0 for a in range(4) for b in range(a + 1, 4))
+    assert _first_compress(monkeypatch, tree, group) == (0, 1)
+
+
+# -- differential test against the exhaustive two-level step ------------
+
+
+def _reference_two_level(tree, v_id):
+    """The two-level step as an exhaustive argmin: every sibling pair on
+    one heap (cross-edges counted from the graph), and a rescan of every
+    internal node per removal."""
+    sub = _sub_tree_over_children(tree, v_id)
+    root = sub.nodes[sub.root_id]
+    heap = []
+    alive = set(root.children)
+    members = sorted(alive)
+    for i, a in enumerate(members):
+        for b in members[i + 1 :]:
+            heapq.heappush(heap, (delta_compress(sub, a, b), a, b))
+    while len(root.children) > 2:
+        _, a, b = heapq.heappop(heap)
+        if a not in alive or b not in alive:
+            continue
+        gamma = sub.compress(a, b)
+        alive -= {a, b}
+        for other in sorted(alive):
+            heapq.heappush(heap, (delta_compress(sub, other, gamma), other, gamma))
+        alive.add(gamma)
+    while sub.height > 2:
+        _, v = min(
+            (delta_remove(sub, n.id), n.id)
+            for n in sub.nodes.values()
+            if n.parent is not None and not n.is_leaf()
+        )
+        sub.remove_node(v)
+    sub.align(2)
+    return sub
+
+
+def _relabelled(g, rng):
+    perm = rng.permutation(g.node_count)
+    return build_graph(g.node_count, [(int(perm[u]), int(perm[v])) for u, v in sorted(g.edges)])
+
+
+def _sbm(rng, blocks, size, p_in, p_out):
+    n = blocks * size
+    while True:
+        edges = [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < (p_in if u // size == v // size else p_out)
+        ]
+        try:
+            return build_graph(n, edges)
+        except ValueError:
+            continue
+
+
+def _disjoint_union(*graphs):
+    edges, base = [], 0
+    for g in graphs:
+        edges += [(u + base, v + base) for u, v in g.edges]
+        base += g.node_count
+    return build_graph(base, edges)
+
+
+def _differential_corpus():
+    rng = np.random.default_rng(2024)
+    corpus = []
+    for i in range(12):
+        corpus.append((f"random{i}", random_graph(rng, n_min=5, n_max=12, p=0.4)))
+    for i in range(3):
+        corpus.append((f"sbm{i}", _sbm(rng, 3, 8, 0.6, 0.05)))
+    for depth, branching in ((3, 3), (2, 5), (3, 4)):
+        taxonomy = hierarchy_to_graph(gen_hierarchy(depth, branching))
+        corpus.append((f"taxonomy{depth}{branching}", _relabelled(taxonomy, rng)))
+    # three or more components: once each is one node, no sibling pair is
+    # adjacent and the lowest-id fallback must pick the compressions
+    triangle = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+    path = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    corpus.append(("disconnected-small", _disjoint_union(triangle, path, triangle, path)))
+    corpus.append(
+        (
+            "disconnected-random",
+            _disjoint_union(*(random_graph(rng, n_min=3, n_max=6) for _ in range(4))),
+        )
+    )
+    return [pytest.param(g, k, id=f"{name}-k{k}") for name, g in corpus for k in (2, 3)]
+
+
+@pytest.mark.parametrize("g,k", _differential_corpus())
+def test_build_matches_exhaustive_two_level(monkeypatch, g, k):
+    fast = build_coding_tree(g, k)
+    monkeypatch.setattr(entropy_min, "build_two_level", _reference_two_level)
+    reference = build_coding_tree(g, k)
+    assert fast.to_json() == reference.to_json()
+
+
+def test_large_taxonomy_at_height_three():
+    g = hierarchy_to_graph(gen_hierarchy(5, 4))
+    assert g.node_count == 1365
+    tree = build_coding_tree(g, 3)
+    tree.validate()
+    assert tree.height == 3
+    assert tree.structural_entropy() == pytest.approx(tree.entropy_from_scratch(), abs=1e-9)
