@@ -2,10 +2,12 @@
 """Differential check of this tree against a reference checkout on the
 seed-42 default training run.
 
-Runs scripts/train_default.py once against each tree's `src/` (in a
-subprocess, one BLAS thread) and compares the per-epoch reports: dev
-micro- and macro-F1 must be identical in every epoch and train loss
-within 1e-6 relative. Exits 1 on any mismatch.
+With each tree's `src/` (in a subprocess, one BLAS thread) it runs
+`hill gen-data` with the default dataset settings and then
+`hill train --config configs/default.json --seed 42`, and compares the
+two `report.jsonl` files: dev micro- and macro-F1 must be identical in
+every epoch and train loss within 1e-6 relative. Both runs read this
+tree's config file. Exits 1 on any mismatch.
 
     mkdir ../hill-parent && git archive HEAD~1 | tar -x -C ../hill-parent
     python scripts/diff_training.py --ref ../hill-parent
@@ -16,19 +18,25 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 LOSS_RTOL = 1e-6
 SEED = 42
 TREE = Path(__file__).resolve().parents[1]
-TRAIN_SCRIPT = TREE / "scripts" / "train_default.py"
+CONFIG = TREE / "configs" / "default.json"
 
 
-def run_report(tree):
+def run_report(tree, workdir):
     env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"), OPENBLAS_NUM_THREADS="1")
-    cmd = [sys.executable, str(TRAIN_SCRIPT), "--seed", str(SEED)]
-    out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True).stdout
-    return [json.loads(line) for line in out.splitlines() if line.strip()]
+    hill = [sys.executable, "-m", "hill.cli"]
+    data, run = Path(workdir) / "data", Path(workdir) / "run"
+    train = ["train", "--data", str(data), "--out", str(run), "--config", str(CONFIG)]
+    for args in (["gen-data", "--out", str(data)], train):
+        cmd = hill + args + ["--seed", str(SEED)]
+        subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
+    lines = (run / "report.jsonl").read_text(encoding="utf-8").splitlines()
+    return [json.loads(line) for line in lines if line.strip()]
 
 
 def compare(ref, new, rtol):
@@ -52,8 +60,9 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ref", required=True, help="reference checkout (holds src/hill)")
     args = parser.parse_args()
-    ref = run_report(args.ref)
-    new = run_report(TREE)
+    with tempfile.TemporaryDirectory() as ref_dir, tempfile.TemporaryDirectory() as new_dir:
+        ref = run_report(args.ref, ref_dir)
+        new = run_report(TREE, new_dir)
     worst, problems = compare(ref, new, LOSS_RTOL)
     print(f"epochs {len(new)}; max train-loss rel diff {worst:.3e}; mismatches {len(problems)}")
     for p in problems:

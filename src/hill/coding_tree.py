@@ -3,7 +3,10 @@ align, merge), validity checking, and structural entropy in bits.
 
 A coding tree is a rooted tree whose leaves biject with the graph's
 vertices; every node marks the vertex subset under it, and caches that
-subset's volume and cut count. Entropy of a tree T over graph G:
+subset's volume and cut count. A node's depth is not cached: it is
+derived from the parent/children links, one walk from the root per
+`depths()` call, so surgeries rewire links and nothing else. Entropy of
+a tree T over graph G:
 
     H(T) = -sum over non-root nodes v of (cut(v) / vol(G)) * log2(vol(v) / vol(parent(v)))
 
@@ -20,16 +23,15 @@ from .graph import Graph, cross_edges, cut_size, subset_volume
 
 
 class TreeNode:
-    __slots__ = ("id", "parent", "children", "subset", "volume", "cut", "depth")
+    __slots__ = ("id", "parent", "children", "subset", "volume", "cut")
 
-    def __init__(self, node_id, parent, subset, volume, cut, depth):
+    def __init__(self, node_id, parent, subset, volume, cut):
         self.id = node_id
         self.parent = parent
         self.children = []
         self.subset = subset
         self.volume = volume
         self.cut = cut
-        self.depth = depth
 
     def is_leaf(self):
         return not self.children
@@ -46,8 +48,8 @@ class CodingTree:
 
     # -- construction -------------------------------------------------
 
-    def _alloc(self, parent, subset, volume, cut, depth) -> TreeNode:
-        node = TreeNode(self._next_id, parent, subset, volume, cut, depth)
+    def _alloc(self, parent, subset, volume, cut) -> TreeNode:
+        node = TreeNode(self._next_id, parent, subset, volume, cut)
         self.nodes[node.id] = node
         self._next_id += 1
         return node
@@ -57,16 +59,29 @@ class CodingTree:
         other.root_id = self.root_id
         other._next_id = self._next_id
         for nid, n in self.nodes.items():
-            m = TreeNode(n.id, n.parent, n.subset, n.volume, n.cut, n.depth)
+            m = TreeNode(n.id, n.parent, n.subset, n.volume, n.cut)
             m.children = list(n.children)
             other.nodes[nid] = m
         return other
 
     # -- queries ------------------------------------------------------
 
+    def depths(self) -> dict[int, int]:
+        """{node id: edges from the root}, from one walk down the links."""
+        depth = {self.root_id: 0}
+        stack = [self.root_id]
+        while stack:
+            nid = stack.pop()
+            below = depth[nid] + 1
+            for c in self.nodes[nid].children:
+                depth[c] = below
+                stack.append(c)
+        return depth
+
     @property
     def height(self) -> int:
-        return max(n.depth for n in self.nodes.values() if n.is_leaf())
+        # the deepest node is always a leaf
+        return max(self.depths().values())
 
     def leaf_ids(self):
         return [n.id for n in self.nodes.values() if n.is_leaf()]
@@ -82,8 +97,9 @@ class CodingTree:
     def layer(self, k: int):
         """Node ids at layer k, where layer 0 is the leaves and layer
         height is the root. Requires uniform leaf depth."""
-        h = self.height
-        return sorted(n.id for n in self.nodes.values() if n.depth == h - k)
+        depth = self.depths()
+        h = max(depth.values())
+        return sorted(nid for nid, d in depth.items() if d == h - k)
 
     def parents_of_leaves(self):
         return sorted({self.nodes[l].parent for l in self.leaf_ids()})
@@ -104,7 +120,8 @@ class CodingTree:
         """Entropy recomputed from leaf subsets and the graph, ignoring
         every cached volume/cut. Differential-test oracle for the caches."""
         subsets = {}
-        for nid in sorted(self.nodes, key=lambda i: -self.nodes[i].depth):
+        depth = self.depths()
+        for nid in sorted(self.nodes, key=lambda i: -depth[i]):
             n = self.nodes[nid]
             if n.is_leaf():
                 subsets[nid] = set(n.subset)
@@ -142,15 +159,12 @@ class CodingTree:
             subset=a.subset | b.subset,
             volume=a.volume + b.volume,
             cut=a.cut + b.cut - 2 * cross_edges(self.graph, a.subset, b.subset),
-            depth=a.depth,
         )
         gamma.children = [a_id, b_id]
         idx = parent.children.index(a_id)
         parent.children[idx] = gamma.id
         parent.children.remove(b_id)
         a.parent = b.parent = gamma.id
-        for nid in self.subtree_ids(a_id) + self.subtree_ids(b_id):
-            self.nodes[nid].depth += 1
         return gamma.id
 
     def remove_node(self, v_id: int) -> None:
@@ -166,8 +180,6 @@ class CodingTree:
         parent.children[idx : idx + 1] = v.children
         for c in v.children:
             self.nodes[c].parent = parent.id
-            for nid in self.subtree_ids(c):
-                self.nodes[nid].depth -= 1
         del self.nodes[v_id]
 
     def align(self, target_height: int | None = None) -> None:
@@ -176,14 +188,15 @@ class CodingTree:
         Chain nodes inherit the leaf's subset, volume and cut, so their
         entropy terms are exactly 0. Default target is the current height.
         """
-        h = self.height
+        depth = self.depths()
+        h = max(depth.values())
         if target_height is None:
             target_height = h
         elif target_height < h:
             raise ValueError(f"target height {target_height} below current height {h}")
         for leaf_id in sorted(self.leaf_ids()):
             leaf = self.nodes[leaf_id]
-            missing = target_height - leaf.depth
+            missing = target_height - depth[leaf_id]
             if missing == 0:
                 continue
             parent = self.nodes[leaf.parent]
@@ -191,13 +204,7 @@ class CodingTree:
             above = parent
             # bottom of the chain ends at the leaf
             for _ in range(missing):
-                u = self._alloc(
-                    parent=above.id,
-                    subset=leaf.subset,
-                    volume=leaf.volume,
-                    cut=leaf.cut,
-                    depth=above.depth + 1,
-                )
+                u = self._alloc(above.id, leaf.subset, leaf.volume, leaf.cut)
                 if above is parent:
                     parent.children[idx] = u.id
                 else:
@@ -205,7 +212,6 @@ class CodingTree:
                 above = u
             above.children = [leaf_id]
             leaf.parent = above.id
-            leaf.depth = above.depth + 1
 
     def merge(self, at_id: int, sub: "CodingTree") -> None:
         """Replace the children of `at` with the middle layer of the
@@ -228,16 +234,12 @@ class CodingTree:
         new_children = []
         for m_id in sub_root.children:
             m = sub.nodes[m_id]
-            group = self._alloc(
-                parent=at_id, subset=m.subset, volume=m.volume, cut=m.cut, depth=at.depth + 1
-            )
+            group = self._alloc(at_id, m.subset, m.volume, m.cut)
             kids = []
             for l_id in m.children:
                 orig = by_subset[sub.nodes[l_id].subset]
                 kids.append(orig)
                 self.nodes[orig].parent = group.id
-                for nid in self.subtree_ids(orig):
-                    self.nodes[nid].depth += 1
             group.children = kids
             new_children.append(group.id)
         at.children = new_children
@@ -250,8 +252,8 @@ class CodingTree:
         if self.root_id not in self.nodes:
             raise ValueError("missing root")
         root = self.nodes[self.root_id]
-        if root.parent is not None or root.depth != 0:
-            raise ValueError("root must have no parent and depth 0")
+        if root.parent is not None:
+            raise ValueError("root must have no parent")
         seen = set()
         for nid in self.subtree_ids(self.root_id):
             if nid in seen:
@@ -265,8 +267,6 @@ class CodingTree:
                 p = self.nodes[n.parent]
                 if n.id not in p.children:
                     raise ValueError(f"node {n.id} missing from parent's child list")
-                if n.depth != p.depth + 1:
-                    raise ValueError(f"node {n.id}: depth {n.depth} != parent depth + 1")
             if n.is_leaf():
                 leaves.append(n)
             else:
@@ -289,7 +289,7 @@ class CodingTree:
         if marked != list(range(g.node_count)):
             raise ValueError("leaves do not cover every graph vertex exactly once")
         if require_uniform_depth:
-            depths = {l.depth for l in leaves}
+            depths = {d for nid, d in self.depths().items() if self.nodes[nid].is_leaf()}
             if len(depths) != 1:
                 raise ValueError(f"leaf depths not uniform: {sorted(depths)}")
 
@@ -339,7 +339,7 @@ class CodingTree:
                 )
             if nid in tree.nodes:
                 raise ValueError(f"duplicate tree node id {nid}")
-            node = TreeNode(nid, parent, None, 0, 0, 0)
+            node = TreeNode(nid, parent, None, 0, 0)
             node.children = list(children)
             if not node.children:
                 if vertex >= graph.node_count:
@@ -364,16 +364,8 @@ class CodingTree:
                     )
         tree.root_id = roots[0]
         tree._next_id = max(tree.nodes) + 1
-        # depths top-down, subsets and caches bottom-up
-        stack = [(tree.root_id, 0)]
-        order = []
-        while stack:
-            nid, d = stack.pop()
-            tree.nodes[nid].depth = d
-            order.append(nid)
-            for c in tree.nodes[nid].children:
-                stack.append((c, d + 1))
-        for nid in reversed(order):
+        # subsets and caches bottom-up
+        for nid in reversed(tree.subtree_ids(tree.root_id)):
             n = tree.nodes[nid]
             if not n.is_leaf():
                 s = frozenset().union(*(tree.nodes[c].subset for c in n.children))
@@ -396,8 +388,8 @@ def initial_tree(g: Graph) -> CodingTree:
     """Height-1 tree: every graph vertex as a leaf under a fresh root."""
     tree = CodingTree(g)
     for v in range(g.node_count):
-        tree._alloc(None, frozenset({v}), g.degree[v], g.degree[v], 1)
-    root = tree._alloc(None, frozenset(range(g.node_count)), g.volume, 0, 0)
+        tree._alloc(None, frozenset({v}), g.degree[v], g.degree[v])
+    root = tree._alloc(None, frozenset(range(g.node_count)), g.volume, 0)
     root.children = list(range(g.node_count))
     for v in range(g.node_count):
         tree.nodes[v].parent = root.id

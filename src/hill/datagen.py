@@ -158,6 +158,8 @@ def gen_corpus(
     deterministic under seed."""
     if n_docs < 1:
         raise ValueError("need at least one document")
+    if vocab_size < 1:
+        raise ValueError(f"vocabulary size must be at least 1, got {vocab_size}")
     leaves = h.leaves()
     if not leaves:
         raise ValueError("hierarchy has no leaves")

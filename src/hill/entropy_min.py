@@ -2,8 +2,9 @@
 construction) and an exhaustive oracle for small graphs.
 
 The greedy construction grows the tree one level per iteration, choosing
-between refining at the root or refining every parent-of-leaves node,
-whichever merged tree has lower entropy. The inner two-level step
+between refining at the root (on a copy) or refining every
+parent-of-leaves node (in place), whichever merged tree has lower
+entropy; a tie keeps the second. The inner two-level step
 compresses the best sibling pair until two children remain, then deletes
 the internal node with the smallest entropy increase until height 2.
 
@@ -85,8 +86,8 @@ def _sub_tree_over_children(tree: CodingTree, v_id: int) -> CodingTree:
     sub = CodingTree(tree.graph)
     for c_id in sorted(v.children):
         c = tree.nodes[c_id]
-        sub._alloc(None, c.subset, c.volume, c.cut, 1)
-    root = sub._alloc(None, v.subset, v.volume, v.cut, 0)
+        sub._alloc(None, c.subset, c.volume, c.cut)
+    root = sub._alloc(None, v.subset, v.volume, v.cut)
     root.children = list(range(len(v.children)))
     for leaf in root.children:
         sub.nodes[leaf].parent = root.id
@@ -207,14 +208,14 @@ def build_coding_tree(g: Graph, k: int) -> CodingTree:
     tree = initial_tree(g)
     tree.merge(tree.root_id, build_two_level(tree, tree.root_id))
     while tree.height < k:
-        # candidate 1: refine the partition at the root
+        # candidate 1: refine the partition at the root, on a copy
         t1 = tree.copy()
         t1.merge(t1.root_id, build_two_level(t1, t1.root_id))
-        # candidate 2: refine below every parent-of-leaves node
-        t2 = tree.copy()
-        for v in t2.parents_of_leaves():
-            t2.merge(v, build_two_level(t2, v))
-        tree = t1 if t1.structural_entropy() < t2.structural_entropy() else t2
+        # candidate 2, in place: refine below every parent-of-leaves node
+        for v in tree.parents_of_leaves():
+            tree.merge(v, build_two_level(tree, v))
+        if t1.structural_entropy() < tree.structural_entropy():  # a tie keeps candidate 2
+            tree = t1
     return tree
 
 
@@ -265,16 +266,15 @@ def _tree_from_layers(g: Graph, layers) -> CodingTree:
     tree = CodingTree(g)
     height = len(layers) + 1
     for v in range(g.node_count):
-        tree._alloc(None, frozenset({v}), g.degree[v], g.degree[v], height)
-    root = tree._alloc(None, frozenset(range(g.node_count)), g.volume, 0, 0)
+        tree._alloc(None, frozenset({v}), g.degree[v], g.degree[v])
+    root = tree._alloc(None, frozenset(range(g.node_count)), g.volume, 0)
     tree.root_id = root.id
     below = {frozenset({v}): v for v in range(g.node_count)}
-    for depth_idx, layer in enumerate(layers):
-        depth = height - 1 - depth_idx
+    for layer in layers:
         current = {}
         for block in layer:
             s = frozenset(block)
-            node = tree._alloc(None, s, subset_volume(g, s), cut_size(g, s), depth)
+            node = tree._alloc(None, s, subset_volume(g, s), cut_size(g, s))
             kids = sorted(c for sub, c in below.items() if sub <= s)
             node.children = kids
             for c in kids:

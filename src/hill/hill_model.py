@@ -1,17 +1,14 @@
-"""The full learning pipeline: pluggable text encoder, label projector,
-hierarchical representation learning over a coding tree, contrastive
-projectors with NT-Xent, sigmoid classifier with BCE, and the training
-loop.
-
-Per-document ops (project_labels, tree_forward, classify) are thin
-wrappers over batched internals; the batch dimension is only an
-efficiency device and never changes semantics.
+"""The full learning pipeline: bag-of-words text encoder, label
+projector, hierarchical representation learning over a coding tree,
+contrastive projectors with NT-Xent, sigmoid classifier with BCE, and the
+training loop. Every layer works on a batch of documents; a batch of one
+is one document.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -23,6 +20,8 @@ from .metrics import macro_f1, micro_f1
 ETA_MODES = ("sum", "mean")
 NTXENT_FORMS = ("simclr", "paper_literal")
 BCE_CLAMP = 1e-7
+# accepted Python types per annotated field type; bool is refused everywhere
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 @dataclass
@@ -41,21 +40,38 @@ class HillConfig:
     ntxent_form: str = "simclr"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+        for name in ("d_B", "d_V", "epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not self.tau > 0:
+            raise ValueError(f"tau must be positive, got {self.tau}")
         if self.eta not in ETA_MODES:
             raise ValueError(f"eta must be one of {ETA_MODES}, got {self.eta!r}")
         if self.ntxent_form not in NTXENT_FORMS:
             raise ValueError(f"ntxent_form must be one of {NTXENT_FORMS}")
         if self.K < 2:
             raise ValueError(f"coding-tree height must be at least 2, got {self.K}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
 
     @classmethod
     def from_json_file(cls, path, **overrides):
-        with open(path, encoding="utf-8") as fh:
-            blob = json.load(fh)
-        blob.update(overrides)
-        return cls(**blob)
+        """Config from a JSON object of field values; `overrides` win.
+        Raises ValueError naming `path` on malformed JSON, a non-object,
+        an unknown key or an invalid value."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                blob = json.load(fh)
+            if not isinstance(blob, dict):
+                raise ValueError(f"expected a JSON object, got {type(blob).__name__}")
+            unknown = sorted(set(blob) - {f.name for f in fields(cls)})
+            if unknown:
+                raise ValueError(f"unknown config key(s) {', '.join(unknown)}")
+            return cls(**{**blob, **overrides})
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def to_json_file(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -65,19 +81,7 @@ class HillConfig:
 # -- encoders --------------------------------------------------------
 
 
-@dataclass
-class EncoderOutput:
-    h_d: np.ndarray  # (1, d_B)
-
-
-class TextEncoder:
-    """Contract for document encoders: deterministic given parameters."""
-
-    def encode(self, tokens) -> EncoderOutput:
-        raise NotImplementedError
-
-
-class BagOfWordsEncoder(TextEncoder):
+class BagOfWordsEncoder:
     """Token-count lookup-sum followed by one linear+relu layer."""
 
     def __init__(self, vocab_size, d_b, rng):
@@ -98,12 +102,6 @@ class BagOfWordsEncoder(TextEncoder):
         gz = tn.relu_backward(grad_h, z)
         gsum = self.lin.backward(gz, lctx)
         self.embedding.grad += counts.T @ gsum
-
-    def encode(self, tokens) -> EncoderOutput:
-        counts = np.zeros((1, self.vocab_size))
-        np.add.at(counts[0], np.asarray(list(tokens), dtype=int), 1.0)
-        h, _ = self.encode_counts(counts)
-        return EncoderOutput(h_d=h)
 
     def params(self):
         return [self.embedding] + self.lin.params()
@@ -135,11 +133,6 @@ class LabelProjector:
         gz = self.scale.value[:, 0] @ grad_x0
         self.lin.weight.grad += h.T @ gz
         return gz @ self.lin.weight.value.T
-
-    def project_labels(self, h_d):
-        h_d = tn.as_matrix(np.atleast_2d(h_d), "h_D")
-        x0, _ = self.forward_batch(h_d)
-        return x0[0]
 
     def params(self):
         return [self.scale] + self.lin.params()
@@ -236,11 +229,6 @@ class StructureEncoder:
             ga = self.level_ffns[k].backward_batch(gf, fctx)
             carry = np.matmul(self.agg[k].T, ga)
         return carry
-
-    def tree_forward(self, x0):
-        x0 = np.asarray(x0, dtype=np.float64)
-        ht, _ = self.forward_batch(x0[None, :, :])
-        return ht[0]
 
     def params(self):
         out = []
@@ -427,11 +415,6 @@ class HillModel:
             p.zero_grad()
 
     # forward / backward
-
-    def classify(self, h_d, h_t):
-        x = tn.concat_cols(np.atleast_2d(h_d), np.atleast_2d(h_t))
-        logits, _ = self.classifier.forward(x)
-        return tn.sigmoid(logits)
 
     def forward_batch(self, counts, y01):
         lam = self.config.lambda_clr

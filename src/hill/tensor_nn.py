@@ -79,22 +79,6 @@ def concat_cols_backward(grad, left_cols):
     return grad[:, :left_cols], grad[:, left_cols:]
 
 
-def sum_rows(x):
-    return as_matrix(x, "sum_rows input").sum(axis=0, keepdims=True)
-
-
-def sum_rows_backward(grad, rows):
-    return np.repeat(grad, rows, axis=0)
-
-
-def mean_rows(x):
-    return as_matrix(x, "mean_rows input").mean(axis=0, keepdims=True)
-
-
-def mean_rows_backward(grad, rows):
-    return np.repeat(grad, rows, axis=0) / rows
-
-
 def sigmoid(x):
     x = check_finite(np.asarray(x, dtype=np.float64), "sigmoid input")
     out = np.empty_like(x)
@@ -107,25 +91,6 @@ def sigmoid(x):
 
 def sigmoid_backward(grad, y):
     return grad * y * (1.0 - y)
-
-
-def cosine_similarity(u, v) -> float:
-    u = check_finite(np.asarray(u, dtype=np.float64).ravel(), "cosine u")
-    v = check_finite(np.asarray(v, dtype=np.float64).ravel(), "cosine v")
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine_similarity: zero-norm input")
-    return float(u @ v / (nu * nv))
-
-
-def cosine_similarity_backward(grad, u, v):
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    s = u @ v / (nu * nv)
-    gu = grad * (v / (nu * nv) - s * u / (nu * nu))
-    gv = grad * (u / (nu * nv) - s * v / (nv * nv))
-    return gu, gv
 
 
 # -- parameters and layers -------------------------------------------

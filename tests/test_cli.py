@@ -198,6 +198,63 @@ def test_train_rejects_bad_meta(tmp_path, capsys, meta):
     assert err[0].startswith("error: ") and "meta.json" in err[0] and "vocab_size" in err[0]
 
 
+@pytest.fixture(scope="module")
+def tiny_data(tmp_path_factory):
+    data = tmp_path_factory.mktemp("tiny") / "data"
+    args = ["gen-data", "--out", str(data), "--depth", "2", "--branching", "2"]
+    assert main(args + ["--n-train", "8", "--n-dev", "4", "--vocab", "64"]) == 0
+    return data
+
+
+@pytest.mark.parametrize(
+    "text,why",
+    [
+        ("[1]", "expected a JSON object, got list"),
+        ("{", "Expecting property name"),
+        ('{"foo": 1}', "unknown config key(s) foo"),
+        ('{"d_B": "64"}', "d_B must be int"),
+        ('{"epochs": 2.0}', "epochs must be int"),
+        ('{"K": true}', "K must be int"),
+        ('{"lambda_clr": false}', "lambda_clr must be float"),
+        ('{"eta": 1}', "eta must be str"),
+        ('{"epochs": 0}', "epochs must be at least 1"),
+        ('{"d_B": 0}', "d_B must be at least 1"),
+        ('{"d_V": -2}', "d_V must be at least 1"),
+        ('{"tau": 0}', "tau must be positive"),
+        ('{"tau": -0.5}', "tau must be positive"),
+        ('{"tau": NaN}', "tau must be positive"),
+    ],
+)
+def test_train_rejects_bad_config(tmp_path, capsys, tiny_data, text, why):
+    config = tmp_path / "config.json"
+    config.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    args = ["train", "--data", str(tiny_data), "--out", str(tmp_path / "run")]
+    assert main(args + ["--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {config}: ") and why in err[0]
+
+
+def test_train_accepts_integers_for_float_fields(tmp_path, capsys, tiny_data):
+    config = tmp_path / "config.json"
+    text = '{"tau": 1, "lr_encoder": 0, "epochs": 1, "batch_size": 4}'
+    config.write_text(text, encoding="utf-8")
+    args = ["train", "--data", str(tiny_data), "--out", str(tmp_path / "run")]
+    assert main(args + ["--config", str(config)]) == 0
+    assert capsys.readouterr().out.startswith("epoch 1 ")
+
+
+def test_gen_data_rejects_empty_vocabulary(tmp_path, capsys):
+    args = ["gen-data", "--out", str(tmp_path / "data"), "--depth", "2", "--branching", "2"]
+    assert main(args + ["--vocab", "0"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "vocabulary size must be at least 1" in err[0]
+
+
 # -- malformed tree JSON through `hill entropy` -------------------------
 
 _CYCLE4_TREE = initial_tree(load_graph(CYCLE4)).to_json_obj()["nodes"]

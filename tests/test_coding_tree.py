@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hill.coding_tree import CodingTree, initial_tree, structural_entropy
+from hill.entropy_min import build_two_level
 from hill.graph import build_graph
 
 from conftest import random_graph, ref_entropy
@@ -50,7 +51,7 @@ def test_compress_updates_caches(bridge_triangles):
     assert node.subset == frozenset({0, 1})
     assert node.volume == 4
     assert node.cut == 2  # edges (0,2) and (1,2) leave the pair
-    assert tree.nodes[0].depth == 2
+    assert tree.depths()[0] == 2
     assert tree.height == 2
     # leaves 2..5 still sit at depth 1, so uniform-depth validation fails
     with pytest.raises(ValueError, match="uniform"):
@@ -111,10 +112,10 @@ def test_merge_replaces_children(bridge_triangles):
     # height-2 sub tree splitting the vertices into the two triangles
     sub = CodingTree(g)
     for v in range(6):
-        sub._alloc(None, frozenset({v}), g.degree[v], g.degree[v], 2)
-    left = sub._alloc(None, frozenset({0, 1, 2}), 7, 1, 1)
-    right = sub._alloc(None, frozenset({3, 4, 5}), 7, 1, 1)
-    root = sub._alloc(None, frozenset(range(6)), g.volume, 0, 0)
+        sub._alloc(None, frozenset({v}), g.degree[v], g.degree[v])
+    left = sub._alloc(None, frozenset({0, 1, 2}), 7, 1)
+    right = sub._alloc(None, frozenset({3, 4, 5}), 7, 1)
+    root = sub._alloc(None, frozenset(range(6)), g.volume, 0)
     left.children, right.children = [0, 1, 2], [3, 4, 5]
     root.children = [left.id, right.id]
     for v in range(3):
@@ -233,3 +234,37 @@ def test_validate_catches_stale_cache(cycle4):
     tree.nodes[0].volume += 1
     with pytest.raises(ValueError, match="stale cached volume"):
         tree.validate()
+
+
+def _hops_to_root(tree, nid):
+    hops = 0
+    while tree.nodes[nid].parent is not None:
+        nid = tree.nodes[nid].parent
+        hops += 1
+    return hops
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), data=st.data())
+def test_random_surgeries_keep_tree_coherent(seed, data):
+    """Any sequence of surgeries keeps the links valid, the derived depths
+    equal to parent-hop counts, and the cached entropy exact."""
+    tree = initial_tree(random_graph(np.random.default_rng(seed)))
+    for _ in range(data.draw(st.integers(1, 10))):
+        internal = sorted(n.id for n in tree.nodes.values() if not n.is_leaf())
+        kind = data.draw(st.sampled_from(["compress", "remove", "align", "merge"]))
+        if kind == "compress":
+            groups = [i for i in internal if len(tree.nodes[i].children) >= 2]
+            kids = sorted(tree.nodes[data.draw(st.sampled_from(groups))].children)
+            a, b = data.draw(st.lists(st.sampled_from(kids), min_size=2, max_size=2, unique=True))
+            tree.compress(a, b)
+        elif kind == "remove" and len(internal) > 1:
+            tree.remove_node(data.draw(st.sampled_from([i for i in internal if i != tree.root_id])))
+        elif kind == "align":
+            tree.align(tree.height + data.draw(st.integers(0, 1)))
+        elif kind == "merge":
+            v = data.draw(st.sampled_from(internal))
+            tree.merge(v, build_two_level(tree, v))
+        tree.validate(require_uniform_depth=False)
+        assert tree.depths() == {nid: _hops_to_root(tree, nid) for nid in tree.nodes}
+        assert tree.structural_entropy() == pytest.approx(tree.entropy_from_scratch(), abs=1e-9)

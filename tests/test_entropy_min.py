@@ -120,6 +120,17 @@ def test_build_coding_tree_deterministic(bridge_triangles):
     assert a.to_json() == b.to_json()
 
 
+def test_level_tie_keeps_the_refinement_below(cycle4):
+    # at K=3 neither candidate can split cycle4's two pairs further, so
+    # both keep the entropy; the tie keeps candidate 2, whose unary chains
+    # sit under the pairs (candidate 1 would put them above)
+    tree = build_coding_tree(cycle4, 3)
+    tree.validate()
+    pairs = tree.nodes[tree.root_id].children
+    assert sorted(tree.nodes[c].subset for c in pairs) == [frozenset({0, 1}), frozenset({2, 3})]
+    assert all(len(tree.nodes[c].children) == 2 for c in pairs)
+
+
 def test_set_partitions_counts_are_bell_numbers():
     bell = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
     for n, count in bell.items():

@@ -5,7 +5,6 @@ from hill import tensor_nn as tn
 from hill.datagen import count_matrix, gen_corpus, gen_hierarchy, hierarchy_to_graph, label_matrix
 from hill.entropy_min import build_coding_tree
 from hill.hill_model import (
-    BagOfWordsEncoder,
     HillConfig,
     HillModel,
     LabelProjector,
@@ -139,24 +138,14 @@ def test_total_loss():
 # -- components ------------------------------------------------------
 
 
-def test_encoder_per_doc_matches_batch():
-    rng = np.random.default_rng(3)
-    enc = BagOfWordsEncoder(16, 6, rng)
-    tokens = [1, 1, 7, 12]
-    counts = np.zeros((1, 16))
-    np.add.at(counts[0], np.asarray(tokens), 1.0)
-    h_batch, _ = enc.encode_counts(counts)
-    assert np.allclose(enc.encode(tokens).h_d, h_batch)
-
-
 def test_label_projector_per_doc_matches_batch():
     rng = np.random.default_rng(4)
     proj = LabelProjector(5, 6, 3, rng)
     h = rng.normal(size=(2, 6))
     x0, _ = proj.forward_batch(h)
     assert x0.shape == (2, 5, 3)
-    assert np.allclose(proj.project_labels(h[0]), x0[0])
-    assert np.allclose(proj.project_labels(h[1]), x0[1])
+    for i in range(2):
+        assert np.allclose(proj.forward_batch(h[i : i + 1])[0][0], x0[i])
 
 
 def test_structure_encoder_shapes_and_wrapper():
@@ -168,7 +157,7 @@ def test_structure_encoder_shapes_and_wrapper():
     x0 = rng.normal(size=(2, h.num_labels, 3))
     ht, _ = enc.forward_batch(x0)
     assert ht.shape == (2, 6)
-    assert np.allclose(enc.tree_forward(x0[0]), ht[0])
+    assert np.allclose(enc.forward_batch(x0[:1])[0][0], ht[0])
     with pytest.raises(ValueError, match="leaf-count"):
         enc.forward_batch(rng.normal(size=(1, 3, 3)))
 
