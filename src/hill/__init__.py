@@ -1,7 +1,7 @@
 """Structural-entropy coding trees and hierarchy-aware contrastive
 multi-label learning, at desk scale."""
 
-from .coding_tree import CodingTree, initial_tree, structural_entropy
+from .coding_tree import CodingTree, initial_tree
 from .entropy_min import build_coding_tree, oracle_min_entropy
 from .graph import Graph, build_graph, cut_size, load_graph, subset_volume
 from .hill_model import HillConfig, HillModel, train
@@ -20,7 +20,6 @@ __all__ = [
     "macro_f1",
     "micro_f1",
     "oracle_min_entropy",
-    "structural_entropy",
     "subset_volume",
     "train",
 ]

@@ -12,11 +12,11 @@ import os
 import sys
 from pathlib import Path
 
-from . import datagen
+from . import datagen, experiments
 from .coding_tree import CodingTree
 from .entropy_min import build_coding_tree, oracle_min_entropy
 from .graph import load_graph_file
-from .hill_model import HillConfig, HillModel, train
+from .hill_model import HillConfig
 from .metrics import macro_f1, micro_f1
 from .tensor_nn import save_checkpoint
 
@@ -50,12 +50,13 @@ def _cmd_oracle(args):
 
 
 def _cmd_gen_data(args):
+    # generate first, so a bad argument leaves nothing behind in --out
+    h, train_docs, dev_docs = experiments.default_dataset(
+        args.depth, args.branching, args.n_train, args.n_dev, args.vocab, args.seed
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    h = datagen.gen_hierarchy(args.depth, args.branching, args.seed)
     datagen.save_taxonomy(h, out / "taxonomy.txt")
-    train_docs = datagen.gen_corpus(h, args.n_train, args.vocab, args.seed)
-    dev_docs = datagen.gen_corpus(h, args.n_dev, args.vocab, args.seed + 1)
     datagen.save_dataset(train_docs, out / "train.jsonl")
     datagen.save_dataset(dev_docs, out / "dev.jsonl")
     meta = {
@@ -95,13 +96,12 @@ def _cmd_train(args):
     h = datagen.load_taxonomy(data / "taxonomy.txt")
     train_docs = datagen.load_dataset(data / "train.jsonl", vocab, h.num_labels)
     dev_docs = datagen.load_dataset(data / "dev.jsonl", vocab, h.num_labels)
-    graph = datagen.hierarchy_to_graph(h)
-    tree = build_coding_tree(graph, config.K)
-    model = HillModel(config, vocab, h.num_labels, tree)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     config.to_json_file(out / "config.json")
-    report = train(model, train_docs, dev_docs, config, report_path=out / "report.jsonl")
+    model, report = experiments.run_training(
+        config, h, train_docs, dev_docs, vocab, report_path=out / "report.jsonl"
+    )
     save_checkpoint(model.parameters(), out / "checkpoint.json")
     last = report[-1]
     print(
@@ -112,14 +112,17 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
+    if args.labels is not None and args.labels < 1:
+        raise ValueError(f"--labels must be at least 1, got {args.labels}")
     preds = [set(ex.labels) for ex in datagen.load_dataset(args.pred)]
     golds = [set(ex.labels) for ex in datagen.load_dataset(args.gold)]
-    if args.labels:
-        label_count = args.labels
-    else:
+    label_count = args.labels
+    if label_count is None:
         label_count = max((max(s) for s in preds + golds if s), default=0) + 1
-    print(f"micro_f1 {micro_f1(preds, golds):.4f}")
-    print(f"macro_f1 {macro_f1(preds, golds, label_count):.4f}")
+    # both scores before any output, so a failure prints only the error
+    micro, macro = micro_f1(preds, golds), macro_f1(preds, golds, label_count)
+    print(f"micro_f1 {micro:.4f}")
+    print(f"macro_f1 {macro:.4f}")
 
 
 def build_parser():
@@ -145,12 +148,12 @@ def build_parser():
 
     p = sub.add_parser("gen-data", help="write a synthetic hierarchy and corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--branching", type=int, default=4)
-    p.add_argument("--n-train", type=int, default=2000)
-    p.add_argument("--n-dev", type=int, default=500)
-    p.add_argument("--vocab", type=int, default=2048)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--depth", type=int, default=experiments.DEFAULT_DEPTH)
+    p.add_argument("--branching", type=int, default=experiments.DEFAULT_BRANCHING)
+    p.add_argument("--n-train", type=int, default=experiments.DEFAULT_N_TRAIN)
+    p.add_argument("--n-dev", type=int, default=experiments.DEFAULT_N_DEV)
+    p.add_argument("--vocab", type=int, default=experiments.DEFAULT_VOCAB)
+    p.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED)
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="run the full training pipeline")

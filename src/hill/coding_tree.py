@@ -384,18 +384,19 @@ def _is_id(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def initial_tree(g: Graph) -> CodingTree:
-    """Height-1 tree: every graph vertex as a leaf under a fresh root."""
+def star_tree(g: Graph, leaves, root) -> CodingTree:
+    """Height-1 tree of one root over the given leaves. Each argument is
+    a (subset, volume, cut) tuple; leaf i gets handle i and the root
+    handle len(leaves)."""
     tree = CodingTree(g)
-    for v in range(g.node_count):
-        tree._alloc(None, frozenset({v}), g.degree[v], g.degree[v])
-    root = tree._alloc(None, frozenset(range(g.node_count)), g.volume, 0)
-    root.children = list(range(g.node_count))
-    for v in range(g.node_count):
-        tree.nodes[v].parent = root.id
-    tree.root_id = root.id
+    for leaf in leaves:
+        tree._alloc(len(leaves), *leaf)
+    tree.root_id = tree._alloc(None, *root).id
+    tree.nodes[tree.root_id].children = list(range(len(leaves)))
     return tree
 
 
-def structural_entropy(tree: CodingTree) -> float:
-    return tree.structural_entropy()
+def initial_tree(g: Graph) -> CodingTree:
+    """Height-1 tree: every graph vertex as a leaf under a fresh root."""
+    leaves = [(frozenset({v}), g.degree[v], g.degree[v]) for v in range(g.node_count)]
+    return star_tree(g, leaves, (frozenset(range(g.node_count)), g.volume, 0))

@@ -65,9 +65,6 @@ class LabelHierarchy:
             label = self.parent[label]
         return path[::-1]
 
-    def depth_of(self, label):
-        return len(self.path_from_root(label))
-
 
 @dataclass
 class Example:
@@ -178,11 +175,6 @@ def gen_corpus(
                 tokens.append(int(rng.integers(vocab_size)))
         docs.append(Example(tokens=tokens, labels=labels))
     return docs
-
-
-def parent_closed(h: LabelHierarchy, labels) -> bool:
-    s = set(labels)
-    return all(h.parent[y] == 0 or h.parent[y] in s for y in s)
 
 
 def save_dataset(examples, path):

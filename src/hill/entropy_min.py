@@ -33,7 +33,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from .coding_tree import CodingTree, initial_tree
+from .coding_tree import CodingTree, initial_tree, star_tree
 from .graph import Graph, cross_edges, cut_size, subset_volume
 
 ORACLE_MAX_VERTICES = {2: 8, 3: 5}
@@ -83,16 +83,9 @@ def _sub_tree_over_children(tree: CodingTree, v_id: int) -> CodingTree:
     """Scratch tree rooted at a copy of v whose leaves copy v's children,
     keyed by marked subset (what merge matches on)."""
     v = tree.nodes[v_id]
-    sub = CodingTree(tree.graph)
-    for c_id in sorted(v.children):
-        c = tree.nodes[c_id]
-        sub._alloc(None, c.subset, c.volume, c.cut)
-    root = sub._alloc(None, v.subset, v.volume, v.cut)
-    root.children = list(range(len(v.children)))
-    for leaf in root.children:
-        sub.nodes[leaf].parent = root.id
-    sub.root_id = root.id
-    return sub
+    kids = [tree.nodes[c] for c in sorted(v.children)]
+    leaves = [(c.subset, c.volume, c.cut) for c in kids]
+    return star_tree(tree.graph, leaves, (v.subset, v.volume, v.cut))
 
 
 def _sibling_graph(sub: CodingTree) -> dict:
@@ -263,12 +256,8 @@ def _layered_entropy(g: Graph, layers) -> float:
 def _tree_from_layers(g: Graph, layers) -> CodingTree:
     """Build an explicit coding tree from bottom-up nested layers and
     align it to uniform leaf depth."""
-    tree = CodingTree(g)
-    height = len(layers) + 1
-    for v in range(g.node_count):
-        tree._alloc(None, frozenset({v}), g.degree[v], g.degree[v])
-    root = tree._alloc(None, frozenset(range(g.node_count)), g.volume, 0)
-    tree.root_id = root.id
+    tree = initial_tree(g)
+    root = tree.nodes[tree.root_id]
     below = {frozenset({v}): v for v in range(g.node_count)}
     for layer in layers:
         current = {}
@@ -284,7 +273,7 @@ def _tree_from_layers(g: Graph, layers) -> CodingTree:
     root.children = sorted(below.values())
     for c in root.children:
         tree.nodes[c].parent = root.id
-    tree.align(height)
+    tree.align(len(layers) + 1)
     return tree
 
 

@@ -32,11 +32,12 @@ def default_dataset(
     return hierarchy, train_docs, dev_docs
 
 
-def run_training(config: HillConfig, hierarchy, train_docs, dev_docs, vocab=DEFAULT_VOCAB):
+def run_training(config: HillConfig, hierarchy, train_docs, dev_docs, vocab=DEFAULT_VOCAB,
+                 report_path=None):
     graph = hierarchy_to_graph(hierarchy)
     tree = build_coding_tree(graph, config.K)
     model = HillModel(config, vocab, hierarchy.num_labels, tree)
-    report = train(model, train_docs, dev_docs, config)
+    report = train(model, train_docs, dev_docs, config, report_path=report_path)
     return model, report
 
 

@@ -8,6 +8,7 @@ is one document.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -49,6 +50,11 @@ class HillConfig:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
+        for name in ("lr_encoder", "lr_structure"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0 <= self.lambda_clr < math.inf:
+            raise ValueError(f"lambda_clr must be non-negative and finite, got {self.lambda_clr}")
         if self.eta not in ETA_MODES:
             raise ValueError(f"eta must be one of {ETA_MODES}, got {self.eta!r}")
         if self.ntxent_form not in NTXENT_FORMS:
@@ -416,16 +422,19 @@ class HillModel:
 
     # forward / backward
 
+    def _forward(self, counts):
+        """Encoder to sigmoid: (h, ht, probs, ctx_enc, ctx_lp, ctx_s, ctx_cls)."""
+        h, ctx_enc = self.encoder.encode_counts(counts)
+        x0, ctx_lp = self.label_proj.forward_batch(h)
+        ht, ctx_s = self.structure.forward_batch(x0)
+        logits, ctx_cls = self.classifier.forward(tn.concat_cols(h, ht))
+        return h, ht, tn.sigmoid(logits), ctx_enc, ctx_lp, ctx_s, ctx_cls
+
     def forward_batch(self, counts, y01):
         lam = self.config.lambda_clr
         if lam > 0 and counts.shape[0] < 2:
             raise ValueError("contrastive training needs batch size >= 2")
-        h, ctx_enc = self.encoder.encode_counts(counts)
-        x0, ctx_lp = self.label_proj.forward_batch(h)
-        ht, ctx_s = self.structure.forward_batch(x0)
-        x = tn.concat_cols(h, ht)
-        logits, ctx_cls = self.classifier.forward(x)
-        p = tn.sigmoid(logits)
+        h, ht, p, ctx_enc, ctx_lp, ctx_s, ctx_cls = self._forward(counts)
         l_c, ctx_bce = bce_loss(p, y01)
         if lam > 0:
             hp, ctx_pt = self.proj_text.forward(h)
@@ -453,11 +462,7 @@ class HillModel:
         self.encoder.backward(gh, ctx_enc)
 
     def predict_probs(self, counts):
-        h, _ = self.encoder.encode_counts(counts)
-        x0, _ = self.label_proj.forward_batch(h)
-        ht, _ = self.structure.forward_batch(x0)
-        logits, _ = self.classifier.forward(tn.concat_cols(h, ht))
-        return tn.sigmoid(logits)
+        return self._forward(counts)[2]
 
     def predict_labels(self, counts):
         probs = self.predict_probs(counts)

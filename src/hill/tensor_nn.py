@@ -189,9 +189,6 @@ class Adam:
         np.divide(a, b, out=a)
         np.subtract(self.value, a, out=self.value)
 
-    def zero_grad(self):
-        self.grad.fill(0.0)
-
 
 # -- checkpoints -----------------------------------------------------
 

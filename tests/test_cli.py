@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hill import experiments
 from hill.cli import main
 from hill.coding_tree import CodingTree, initial_tree
 from hill.datagen import Example, save_dataset
@@ -223,6 +224,14 @@ def tiny_data(tmp_path_factory):
         ('{"tau": 0}', "tau must be positive"),
         ('{"tau": -0.5}', "tau must be positive"),
         ('{"tau": NaN}', "tau must be positive"),
+        ('{"lr_encoder": -1}', "lr_encoder must be positive and finite"),
+        ('{"lr_encoder": 0}', "lr_encoder must be positive and finite"),
+        ('{"lr_encoder": Infinity}', "lr_encoder must be positive and finite"),
+        ('{"lr_structure": -0.5}', "lr_structure must be positive and finite"),
+        ('{"lr_structure": NaN}', "lr_structure must be positive and finite"),
+        ('{"lambda_clr": -5}', "lambda_clr must be non-negative and finite"),
+        ('{"lambda_clr": NaN}', "lambda_clr must be non-negative and finite"),
+        ('{"lambda_clr": Infinity}', "lambda_clr must be non-negative and finite"),
     ],
 )
 def test_train_rejects_bad_config(tmp_path, capsys, tiny_data, text, why):
@@ -240,7 +249,7 @@ def test_train_rejects_bad_config(tmp_path, capsys, tiny_data, text, why):
 
 def test_train_accepts_integers_for_float_fields(tmp_path, capsys, tiny_data):
     config = tmp_path / "config.json"
-    text = '{"tau": 1, "lr_encoder": 0, "epochs": 1, "batch_size": 4}'
+    text = '{"tau": 1, "lambda_clr": 0, "epochs": 1, "batch_size": 4}'
     config.write_text(text, encoding="utf-8")
     args = ["train", "--data", str(tiny_data), "--out", str(tmp_path / "run")]
     assert main(args + ["--config", str(config)]) == 0
@@ -248,11 +257,34 @@ def test_train_accepts_integers_for_float_fields(tmp_path, capsys, tiny_data):
 
 
 def test_gen_data_rejects_empty_vocabulary(tmp_path, capsys):
-    args = ["gen-data", "--out", str(tmp_path / "data"), "--depth", "2", "--branching", "2"]
+    out = tmp_path / "data"
+    args = ["gen-data", "--out", str(out), "--depth", "2", "--branching", "2"]
     assert main(args + ["--vocab", "0"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: ") and "vocabulary size must be at least 1" in err[0]
+    assert not out.exists()
+
+
+def test_gen_data_defaults_are_the_experiment_defaults(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert main(["gen-data", "--out", str(out)]) == 0
+    _, train_docs, dev_docs = experiments.default_dataset()
+    for name, docs in (("train.jsonl", train_docs), ("dev.jsonl", dev_docs)):
+        save_dataset(docs, tmp_path / name)
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+@pytest.mark.parametrize("labels", ["0", "-2", "3"])
+def test_eval_rejects_bad_label_count(tmp_path, capsys, labels):
+    preds = tmp_path / "p.jsonl"
+    save_dataset([Example(tokens=[], labels=[1, 3])], preds)
+    rc = main(["eval", "--pred", str(preds), "--gold", str(preds), "--labels", labels])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 # -- malformed tree JSON through `hill entropy` -------------------------

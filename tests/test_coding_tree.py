@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hill.coding_tree import CodingTree, initial_tree, structural_entropy
+from hill.coding_tree import CodingTree, initial_tree
 from hill.entropy_min import build_two_level
 from hill.graph import build_graph
 
@@ -36,11 +36,6 @@ def test_flat_entropy_matches_shannon(seed):
     g = random_graph(np.random.default_rng(seed))
     tree = initial_tree(g)
     assert tree.structural_entropy() == pytest.approx(degree_shannon_entropy(g), abs=1e-9)
-
-
-def test_structural_entropy_function_alias(cycle4):
-    tree = initial_tree(cycle4)
-    assert structural_entropy(tree) == tree.structural_entropy()
 
 
 def test_compress_updates_caches(bridge_triangles):

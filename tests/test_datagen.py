@@ -13,7 +13,6 @@ from hill.datagen import (
     label_token,
     load_dataset,
     load_taxonomy,
-    parent_closed,
     save_dataset,
     save_taxonomy,
 )
@@ -24,7 +23,7 @@ def test_gen_hierarchy_shape():
     assert h.num_labels == 1 + 4 + 16 + 64
     assert h.parent[1] == 0
     assert len(h.leaves()) == 64
-    assert all(h.depth_of(leaf) == 3 for leaf in h.leaves())
+    assert all(len(h.path_from_root(leaf)) == 3 for leaf in h.leaves())
 
 
 def test_gen_hierarchy_argument_checks():
@@ -94,7 +93,7 @@ def test_gen_corpus_labels_are_paths():
     for ex in docs:
         assert len(ex.labels) == 3  # one label per level, root excluded
         assert 0 not in ex.labels
-        assert parent_closed(h, ex.labels)
+        assert all(h.parent[y] == 0 or h.parent[y] in ex.labels for y in ex.labels)
         assert leaves & set(ex.labels)
         assert 20 <= len(ex.tokens) <= 40
         assert all(0 <= t < 256 for t in ex.tokens)
@@ -113,13 +112,6 @@ def test_gen_corpus_max_tokens():
     h = gen_hierarchy(2, 2)
     docs = gen_corpus(h, 30, 128, seed=1, max_tokens=10)
     assert all(len(ex.tokens) <= 10 for ex in docs)
-
-
-def test_parent_closed_negative():
-    h = gen_hierarchy(2, 2)
-    leaf = h.leaves()[0]
-    assert not parent_closed(h, [leaf])
-    assert parent_closed(h, h.path_from_root(leaf))
 
 
 def test_dataset_round_trip(tmp_path):
