@@ -94,6 +94,8 @@ def _cmd_train(args):
     else:
         config = HillConfig(**overrides)
     h = datagen.load_taxonomy(data / "taxonomy.txt")
+    if config.K >= h.num_labels:  # refused before --out exists, as build_coding_tree would
+        raise ValueError(f"height {config.K} not realizable on {h.num_labels} vertices")
     train_docs = datagen.load_dataset(data / "train.jsonl", vocab, h.num_labels)
     dev_docs = datagen.load_dataset(data / "dev.jsonl", vocab, h.num_labels)
     out = Path(args.out)

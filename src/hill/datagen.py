@@ -108,7 +108,8 @@ def save_taxonomy(h: LabelHierarchy, path):
 
 def load_taxonomy(path) -> LabelHierarchy:
     """Ids are assigned in order of first appearance; the first parent
-    token is the root."""
+    token is the root. ValueError names the file, and the line where
+    there is one."""
     ids = {}
     parent = {}
 
@@ -122,21 +123,27 @@ def load_taxonomy(path) -> LabelHierarchy:
             line = raw.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
+            where = f"{path}: line {lineno}"
             fields = line.split("\t")
             if len(fields) < 2:
-                raise ValueError(f"line {lineno}: expected parent and children")
+                raise ValueError(f"{where}: expected parent and children")
+            if not all(fields):
+                raise ValueError(f"{where}: empty label name")
             par = intern(fields[0])
             for name in fields[1:]:
                 child = intern(name)
                 if child in parent:
-                    raise ValueError(f"line {lineno}: label {name!r} has two parents")
+                    raise ValueError(f"{where}: label {name!r} has two parents")
                 parent[child] = par
     if not ids:
-        raise ValueError("taxonomy file is empty")
+        raise ValueError(f"{path}: taxonomy file is empty")
     names = [None] * len(ids)
     for name, i in ids.items():
         names[i] = name
-    return LabelHierarchy(names=names, parent=parent)
+    try:
+        return LabelHierarchy(names=names, parent=parent)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def label_token(label: int, slot: int, vocab_size: int) -> int:

@@ -2,7 +2,10 @@
 projector, hierarchical representation learning over a coding tree,
 contrastive projectors with NT-Xent, sigmoid classifier with BCE, and the
 training loop. Every layer works on a batch of documents; a batch of one
-is one document.
+is one document. The label projector hands the structure encoder
+a1 = S1 x0, the level-1 sums of the leaf features x0[b, y] = scale[y] z[b]
++ bias; x0 has rank one in the label axis, so a1 = (S1 scale) z[b] +
+(S1 1) bias comes from z and the (B, |Y|, d_V) tensor x0 is never built.
 """
 
 from __future__ import annotations
@@ -118,25 +121,26 @@ class BagOfWordsEncoder:
 
 class LabelProjector:
     """phi_proj: a learned per-label vector (the |Y| x 1 stage) outer
-    h_D, then a d_B x d_V linear map. One d_V row per label vertex."""
+    h_D, then a d_B x d_V linear map: one d_V row x0[y] per label vertex.
+    Returns a1 = S1 x0 as (S1 scale) z + (S1 1) bias, never building x0."""
 
     def __init__(self, num_labels, d_b, d_v, rng):
-        self.num_labels = num_labels
         self.scale = tn.Parameter("proj_label.scale", rng.normal(0.0, 1.0, (num_labels, 1)))
         self.lin = tn.LinearLayer(d_b, d_v, rng, name="proj_label.map")
 
-    def forward_batch(self, h):
+    def forward_batch(self, h, s1):
         h = tn.as_matrix(h, "document embeddings")
         z = tn.matmul(h, self.lin.weight.value)  # (B, d_V), bias applied after the outer
-        x0 = self.scale.value[None] * z[:, None, :]
-        x0 += self.lin.bias.value[0]  # in place: a second (B, |Y|, d_V) temporary tripled this op's time
-        return x0, (h, z)
+        coef = s1 @ self.scale.value  # (n1, 1)
+        count = s1.sum(axis=1, keepdims=True)  # (n1, 1): leaves under each level-1 node
+        a1 = coef * z[:, None, :] + count * self.lin.bias.value
+        return a1, (h, z, s1, coef, count)
 
-    def backward(self, grad_x0, ctx):
-        h, z = ctx
-        self.lin.bias.grad += grad_x0.sum(axis=(0, 1))[None, :]
-        self.scale.grad += (grad_x0 @ z[:, :, None]).sum(axis=0)
-        gz = self.scale.value[:, 0] @ grad_x0
+    def backward(self, grad_a1, ctx):
+        h, z, s1, coef, count = ctx
+        self.lin.bias.grad += count.T @ grad_a1.sum(axis=0)
+        self.scale.grad += s1.T @ (grad_a1 @ z[:, :, None]).sum(axis=0)
+        gz = coef[:, 0] @ grad_a1
         self.lin.weight.grad += h.T @ gz
         return gz @ self.lin.weight.value.T
 
@@ -174,7 +178,9 @@ class LevelFFN:
 
 class StructureEncoder:
     """Bottom-up child-sum propagation over the coding tree with one FFN
-    per level and per-level readout concatenation; output dim K * d_V."""
+    per level and per-level readout concatenation; output dim K * d_V.
+    Takes a1 = S1 x0 (S1 = agg[0]) from LabelProjector, starts at the
+    level-1 FFN and returns the gradient wrt a1."""
 
     def __init__(self, tree: CodingTree, d_v, eta, rng):
         if eta not in ETA_MODES:
@@ -204,37 +210,30 @@ class StructureEncoder:
     def out_dim(self):
         return self.k * self.d_v
 
-    def forward_batch(self, x0):
-        if x0.shape[1] != self.num_leaves:
-            raise ValueError(
-                f"leaf-count mismatch: {x0.shape[1]} feature rows vs {self.num_leaves} leaves"
-            )
-        x = x0
+    def forward_batch(self, a1):
+        x = a1
         level_ctx = []
         readouts = []
-        for s, ffn in zip(self.agg, self.level_ffns):
-            a = np.matmul(s, x)
-            f, fctx = ffn.forward_batch(a)
+        for k, ffn in enumerate(self.level_ffns):
+            f, fctx = ffn.forward_batch(np.matmul(self.agg[k], x) if k else x)
             readouts.append(f.sum(axis=1) if self.eta == "sum" else f.mean(axis=1))
             level_ctx.append((fctx, f.shape[1]))
             x = f
         return np.concatenate(readouts, axis=1), level_ctx
 
     def backward(self, grad_ht, level_ctx):
-        b = grad_ht.shape[0]
         grads_r = np.split(grad_ht, self.k, axis=1)
-        carry = None
+        ga = None
         for k in reversed(range(self.k)):
             fctx, n_nodes = level_ctx[k]
             gr = grads_r[k][:, None, :]
             gf = np.repeat(gr, n_nodes, axis=1)
             if self.eta == "mean":
                 gf = gf / n_nodes
-            if carry is not None:
-                gf = gf + carry
+            if ga is not None:
+                gf = gf + np.matmul(self.agg[k + 1].T, ga)
             ga = self.level_ffns[k].backward_batch(gf, fctx)
-            carry = np.matmul(self.agg[k].T, ga)
-        return carry
+        return ga
 
     def params(self):
         out = []
@@ -425,8 +424,8 @@ class HillModel:
     def _forward(self, counts):
         """Encoder to sigmoid: (h, ht, probs, ctx_enc, ctx_lp, ctx_s, ctx_cls)."""
         h, ctx_enc = self.encoder.encode_counts(counts)
-        x0, ctx_lp = self.label_proj.forward_batch(h)
-        ht, ctx_s = self.structure.forward_batch(x0)
+        a1, ctx_lp = self.label_proj.forward_batch(h, self.structure.agg[0])
+        ht, ctx_s = self.structure.forward_batch(a1)
         logits, ctx_cls = self.classifier.forward(tn.concat_cols(h, ht))
         return h, ht, tn.sigmoid(logits), ctx_enc, ctx_lp, ctx_s, ctx_cls
 
@@ -457,8 +456,8 @@ class HillModel:
             ghp, gtp = nt_xent_backward(ctx_nt)
             gh += self.proj_text.backward(lam * ghp, ctx_pt)
             ght += self.proj_tree.backward(lam * gtp, ctx_pp)
-        gx0 = self.structure.backward(ght, ctx_s)
-        gh += self.label_proj.backward(gx0, ctx_lp)
+        ga1 = self.structure.backward(ght, ctx_s)
+        gh += self.label_proj.backward(ga1, ctx_lp)
         self.encoder.backward(gh, ctx_enc)
 
     def predict_probs(self, counts):

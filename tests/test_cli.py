@@ -1,4 +1,6 @@
 import json
+import math
+import shutil
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -7,8 +9,9 @@ from hypothesis import strategies as st
 from hill import experiments
 from hill.cli import main
 from hill.coding_tree import CodingTree, initial_tree
-from hill.datagen import Example, save_dataset
+from hill.datagen import Example, load_dataset, load_taxonomy, save_dataset
 from hill.graph import load_graph, load_graph_file
+from hill.hill_model import HillConfig
 
 CYCLE4 = "0 1\n1 2\n2 3\n3 0\n"
 BRIDGE = "0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n2 3\n"
@@ -245,6 +248,62 @@ def test_train_rejects_bad_config(tmp_path, capsys, tiny_data, text, why):
     err = captured.err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"error: {config}: ") and why in err[0]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("k", [7, 9])
+def test_train_rejects_unrealizable_height_before_writing(tmp_path, capsys, tiny_data, k):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"K": k}), encoding="utf-8")
+    capsys.readouterr()
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(tiny_data), "--out", str(run), "--config", str(config)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0] == f"error: height {k} not realizable on 7 vertices"
+    assert not run.exists()
+
+
+@pytest.mark.parametrize(
+    "edit,why",
+    [
+        (lambda rows: rows + ["n0\tn1.0"], "line 4: label 'n1.0' has two parents"),
+        (lambda rows: rows + ["x\ty"], "every non-root label needs exactly one parent"),
+        (lambda rows: ["root\t\tn0\tn1"] + rows[1:], "line 1: empty label name"),
+    ],
+    ids=["two-parents", "no-parent", "empty-name"],
+)
+def test_train_rejects_bad_taxonomy_naming_the_file(tmp_path, capsys, tiny_data, edit, why):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_data, data)
+    taxonomy = data / "taxonomy.txt"
+    rows = taxonomy.read_text(encoding="utf-8").splitlines()
+    taxonomy.write_text("\n".join(edit(rows)) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {taxonomy}: ") and why in err[0]
+    assert not (tmp_path / "run").exists()
+
+
+def test_wide_taxonomy_trains_one_epoch(tmp_path, capsys):
+    # 1365 labels; checks that the wide path runs and times nothing
+    data, run = tmp_path / "data", tmp_path / "run"
+    args = ["gen-data", "--out", str(data), "--depth", "5", "--branching", "4"]
+    assert main(args + ["--n-train", "48", "--n-dev", "16", "--vocab", "256"]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"K": 3, "epochs": 1}), encoding="utf-8")
+    assert main(["train", "--data", str(data), "--out", str(run), "--config", str(config)]) == 0
+    lines = (run / "report.jsonl").read_text(encoding="utf-8").splitlines()
+    rows = [json.loads(line) for line in lines]
+    assert len(rows) == 1 and math.isfinite(rows[0]["train_loss"])
+    h = load_taxonomy(data / "taxonomy.txt")
+    assert h.num_labels == 1365
+    docs = [load_dataset(data / name, 256, h.num_labels) for name in ("train.jsonl", "dev.jsonl")]
+    model, report = experiments.run_training(HillConfig(K=3, epochs=1), h, *docs, 256)
+    assert model.structure.tree.height == 3
+    assert report == rows
 
 
 def test_train_accepts_integers_for_float_fields(tmp_path, capsys, tiny_data):

@@ -138,14 +138,30 @@ def test_total_loss():
 # -- components ------------------------------------------------------
 
 
+def level1_agg(depth, branching, k=2):
+    """S1, the 0/1 leaf-to-level-1 matrix of the greedy coding tree over
+    gen_hierarchy(depth, branching)."""
+    tree = build_coding_tree(hierarchy_to_graph(gen_hierarchy(depth, branching, 0)), k)
+    return StructureEncoder(tree, 1, "sum", np.random.default_rng(0)).agg[0]
+
+
+def explicit_x0(proj, h):
+    """The (B, |Y|, d_V) leaf features the projector never builds."""
+    z = h @ proj.lin.weight.value
+    return proj.scale.value[None] * z[:, None, :] + proj.lin.bias.value[0]
+
+
 def test_label_projector_per_doc_matches_batch():
     rng = np.random.default_rng(4)
-    proj = LabelProjector(5, 6, 3, rng)
+    s1 = level1_agg(2, 2)  # 3 level-1 nodes over 7 leaves
+    proj = LabelProjector(7, 6, 3, rng)
+    proj.lin.bias.value[...] = rng.normal(size=(1, 3))
     h = rng.normal(size=(2, 6))
-    x0, _ = proj.forward_batch(h)
-    assert x0.shape == (2, 5, 3)
+    a1, _ = proj.forward_batch(h, s1)
+    assert a1.shape == (2, 3, 3)
+    assert np.max(np.abs(a1 - np.matmul(s1, explicit_x0(proj, h)))) <= 1e-12
     for i in range(2):
-        assert np.allclose(proj.forward_batch(h[i : i + 1])[0][0], x0[i])
+        assert np.allclose(proj.forward_batch(h[i : i + 1], s1)[0][0], a1[i])
 
 
 def test_structure_encoder_shapes_and_wrapper():
@@ -155,11 +171,11 @@ def test_structure_encoder_shapes_and_wrapper():
     enc = StructureEncoder(tree, d_v=3, eta="sum", rng=rng)
     assert enc.out_dim == 6
     x0 = rng.normal(size=(2, h.num_labels, 3))
-    ht, _ = enc.forward_batch(x0)
+    a1 = np.matmul(enc.agg[0], x0)
+    assert a1.shape == (2, len(tree.layer(1)), 3)
+    ht, _ = enc.forward_batch(a1)
     assert ht.shape == (2, 6)
-    assert np.allclose(enc.forward_batch(x0[:1])[0][0], ht[0])
-    with pytest.raises(ValueError, match="leaf-count"):
-        enc.forward_batch(rng.normal(size=(1, 3, 3)))
+    assert np.allclose(enc.forward_batch(a1[:1])[0][0], ht[0])
 
 
 @pytest.mark.parametrize("eta", ["sum", "mean"])
@@ -168,45 +184,50 @@ def test_structure_encoder_gradients(eta):
     tree = build_coding_tree(hierarchy_to_graph(h), 2)
     rng = np.random.default_rng(6)
     enc = StructureEncoder(tree, d_v=3, eta=eta, rng=rng)
+    s1 = enc.agg[0]
     x0 = rng.normal(size=(2, h.num_labels, 3))
     grad = rng.normal(size=(2, enc.out_dim))
-    _, ctx = enc.forward_batch(x0)
-    gx0 = enc.backward(grad, ctx)
+    _, ctx = enc.forward_batch(np.matmul(s1, x0))
+    gx0 = np.matmul(s1.T, enc.backward(grad, ctx))
     numeric = tn.central_difference(
-        lambda v: float(np.sum(enc.forward_batch(v)[0] * grad)), x0.copy()
+        lambda v: float(np.sum(enc.forward_batch(np.matmul(s1, v))[0] * grad)), x0.copy()
     )
     assert tn.max_rel_error(gx0, numeric) < 1e-6
 
 
-def einsum_label_projector(proj, h, grad_x0):
-    """Label projector forward and backward written with einsum; returns
-    (x0, grad wrt h, scale grad, weight grad, bias grad)."""
+def einsum_label_projector(proj, h, s1, grad_a1):
+    """Label projector forward and backward written with einsum over the
+    explicit leaf features x0 and S1; returns (a1, grad wrt h, scale
+    grad, weight grad, bias grad)."""
     z = h @ proj.lin.weight.value
     x0 = np.einsum("y,bd->byd", proj.scale.value[:, 0], z) + proj.lin.bias.value[0]
+    a1 = np.einsum("iy,byd->bid", s1, x0)
+    grad_x0 = np.einsum("iy,bid->byd", s1, grad_a1)
     gscale = np.einsum("byd,bd->y", grad_x0, z)[:, None]
     gz = np.einsum("y,byd->bd", proj.scale.value[:, 0], grad_x0)
     gw = h.T @ gz
-    return x0, gz @ proj.lin.weight.value.T, gscale, gw, grad_x0.sum(axis=(0, 1))[None, :]
+    return a1, gz @ proj.lin.weight.value.T, gscale, gw, grad_x0.sum(axis=(0, 1))[None, :]
 
 
 def test_label_projector_matches_einsum_reference():
     rng = np.random.default_rng(8)
+    s1 = level1_agg(2, 4)  # 5 level-1 nodes over 21 leaves
     proj = LabelProjector(21, 6, 4, rng)
     proj.lin.bias.value[...] = rng.normal(size=(1, 4))
     h = rng.normal(size=(5, 6))
-    grad_x0 = rng.normal(size=(5, 21, 4))
-    x0, ctx = proj.forward_batch(h)
-    gh = proj.backward(grad_x0, ctx)
-    got = (x0, gh, proj.scale.grad, proj.lin.weight.grad, proj.lin.bias.grad)
-    for a, b in zip(got, einsum_label_projector(proj, h, grad_x0)):
+    grad_a1 = rng.normal(size=(5, s1.shape[0], 4))
+    a1, ctx = proj.forward_batch(h, s1)
+    gh = proj.backward(grad_a1, ctx)
+    got = (a1, gh, proj.scale.grad, proj.lin.weight.grad, proj.lin.bias.grad)
+    for a, b in zip(got, einsum_label_projector(proj, h, s1, grad_a1)):
         assert a.shape == b.shape
         assert np.max(np.abs(a - b)) <= 1e-12
 
 
 def einsum_structure_encoder(enc, x0, grad_ht):
-    """Structure encoder forward and backward with einsum aggregation;
-    accumulates FFN grads like the real backward and returns (h_T, grad
-    wrt x0)."""
+    """Structure encoder forward and backward with einsum aggregation,
+    starting from the leaf features x0 (S1 applied here); accumulates FFN
+    grads like the real backward and returns (h_T, grad wrt a1 = S1 x0)."""
     x, ctxs, readouts = x0, [], []
     for s, ffn in zip(enc.agg, enc.level_ffns):
         f, fctx = ffn.forward_batch(np.einsum("ij,bjd->bid", s, x))
@@ -218,8 +239,9 @@ def einsum_structure_encoder(enc, x0, grad_ht):
         fctx, n = ctxs[k]
         gf = np.repeat(np.split(grad_ht, enc.k, axis=1)[k][:, None, :], n, axis=1)
         gf = (gf / n if enc.eta == "mean" else gf) + carry
-        carry = np.einsum("ij,bid->bjd", enc.agg[k], enc.level_ffns[k].backward_batch(gf, fctx))
-    return np.concatenate(readouts, axis=1), carry
+        ga = enc.level_ffns[k].backward_batch(gf, fctx)
+        carry = np.einsum("ij,bid->bjd", enc.agg[k], ga)
+    return np.concatenate(readouts, axis=1), ga
 
 
 @pytest.mark.parametrize("eta,k", [("sum", 2), ("mean", 2), ("sum", 3)])
@@ -230,14 +252,14 @@ def test_structure_encoder_matches_einsum_reference(eta, k):
     enc = StructureEncoder(tree, d_v=4, eta=eta, rng=rng)
     x0 = rng.normal(size=(6, h.num_labels, 4))
     grad = rng.normal(size=(6, enc.out_dim))
-    ht, ctx = enc.forward_batch(x0)
-    gx0 = enc.backward(grad, ctx)
+    ht, ctx = enc.forward_batch(np.matmul(enc.agg[0], x0))
+    ga1 = enc.backward(grad, ctx)
     grads = [p.grad.copy() for p in enc.params()]
     for p in enc.params():
         p.zero_grad()
-    ht_ref, gx0_ref = einsum_structure_encoder(enc, x0, grad)
+    ht_ref, ga1_ref = einsum_structure_encoder(enc, x0, grad)
     assert np.max(np.abs(ht - ht_ref)) <= 1e-12
-    assert np.max(np.abs(gx0 - gx0_ref)) <= 1e-12
+    assert np.max(np.abs(ga1 - ga1_ref)) <= 1e-12
     for g, p in zip(grads, enc.params()):
         assert np.max(np.abs(g - p.grad)) <= 1e-12
 

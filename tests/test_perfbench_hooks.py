@@ -5,6 +5,9 @@ name, so a refactor that deletes or renames one breaks
 from pathlib import Path
 
 import hill
+from hill.datagen import count_matrix, gen_corpus, gen_hierarchy, hierarchy_to_graph, label_matrix
+from hill.entropy_min import build_coding_tree
+from hill.hill_model import HillConfig, HillModel
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -28,3 +31,22 @@ def test_benchmark_workloads_import(monkeypatch):
     import workloads
 
     assert {"train-default", "predict-bulk", "tree-build"} <= set(workloads.WORKLOADS)
+
+
+def test_tracer_records_label_projector_and_structure_spans(monkeypatch):
+    # the benchmark's per-layer numbers need both classes on the step path
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    h = gen_hierarchy(2, 2, 0)
+    tree = build_coding_tree(hierarchy_to_graph(h), 2)
+    model = HillModel(HillConfig(d_B=8, d_V=4), 32, h.num_labels, tree)
+    docs = gen_corpus(h, 4, 32, seed=0)
+    counts, y = count_matrix(docs, 32), label_matrix(docs, h.num_labels)
+    with spans.Tracer(hill) as tracer:
+        _, _, ctx = model.forward_batch(counts, y)
+        model.backward(ctx)
+    recorded = set(tracer.totals())
+    for part in ("label_proj", "structure"):
+        for d in ("fwd", "bwd"):
+            assert f"hill_model.{part}.{d}" in recorded
