@@ -7,7 +7,9 @@ With each tree's `src/` (in a subprocess, one BLAS thread) it runs
 `hill train --config configs/default.json --seed 42`, and compares the
 two `report.jsonl` files: dev micro- and macro-F1 must be identical in
 every epoch and train loss within 1e-6 relative. Both runs read this
-tree's config file. Exits 1 on any mismatch.
+tree's config file. Exits 1 on any mismatch. It also prints whether the
+two `checkpoint.json` files are byte-identical; that line is information
+only and does not affect the exit status.
 
     mkdir ../hill-parent && git archive HEAD~1 | tar -x -C ../hill-parent
     python scripts/diff_training.py --ref ../hill-parent
@@ -36,7 +38,8 @@ def run_report(tree, workdir):
         cmd = hill + args + ["--seed", str(SEED)]
         subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
     lines = (run / "report.jsonl").read_text(encoding="utf-8").splitlines()
-    return [json.loads(line) for line in lines if line.strip()]
+    report = [json.loads(line) for line in lines if line.strip()]
+    return report, (run / "checkpoint.json").read_bytes()
 
 
 def compare(ref, new, rtol):
@@ -61,10 +64,11 @@ def main():
     parser.add_argument("--ref", required=True, help="reference checkout (holds src/hill)")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as ref_dir, tempfile.TemporaryDirectory() as new_dir:
-        ref = run_report(args.ref, ref_dir)
-        new = run_report(TREE, new_dir)
+        ref, ref_ckpt = run_report(args.ref, ref_dir)
+        new, new_ckpt = run_report(TREE, new_dir)
     worst, problems = compare(ref, new, LOSS_RTOL)
     print(f"epochs {len(new)}; max train-loss rel diff {worst:.3e}; mismatches {len(problems)}")
+    print(f"checkpoint.json byte-identical: {'yes' if ref_ckpt == new_ckpt else 'no'}")
     for p in problems:
         print(p)
     return 1 if problems else 0

@@ -97,6 +97,13 @@ def _cmd_train(args):
     if config.K >= h.num_labels:  # refused before --out exists, as build_coding_tree would
         raise ValueError(f"height {config.K} not realizable on {h.num_labels} vertices")
     train_docs = datagen.load_dataset(data / "train.jsonl", vocab, h.num_labels)
+    if config.lambda_clr > 0:  # a doc with no tokens embeds to 0, which NT-Xent cannot normalise
+        empty = next((i for i, ex in enumerate(train_docs, 1) if not ex.tokens), None)
+        if empty is not None:
+            raise ValueError(
+                f"{data / 'train.jsonl'}: example {empty} has no tokens, "
+                "which contrastive training (lambda_clr > 0) cannot use"
+            )
     dev_docs = datagen.load_dataset(data / "dev.jsonl", vocab, h.num_labels)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -179,7 +186,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -129,7 +129,6 @@ class LabelProjector:
         self.lin = tn.LinearLayer(d_b, d_v, rng, name="proj_label.map")
 
     def forward_batch(self, h, s1):
-        h = tn.as_matrix(h, "document embeddings")
         z = tn.matmul(h, self.lin.weight.value)  # (B, d_V), bias applied after the outer
         coef = s1 @ self.scale.value  # (n1, 1)
         count = s1.sum(axis=1, keepdims=True)  # (n1, 1): leaves under each level-1 node
@@ -426,7 +425,7 @@ class HillModel:
         h, ctx_enc = self.encoder.encode_counts(counts)
         a1, ctx_lp = self.label_proj.forward_batch(h, self.structure.agg[0])
         ht, ctx_s = self.structure.forward_batch(a1)
-        logits, ctx_cls = self.classifier.forward(tn.concat_cols(h, ht))
+        logits, ctx_cls = self.classifier.forward(np.concatenate([h, ht], axis=1))
         return h, ht, tn.sigmoid(logits), ctx_enc, ctx_lp, ctx_s, ctx_cls
 
     def forward_batch(self, counts, y01):
@@ -450,8 +449,8 @@ class HillModel:
         lam = self.config.lambda_clr
         g_logits = tn.sigmoid_backward(bce_backward(ctx_bce), p)
         gx = self.classifier.backward(g_logits, ctx_cls)
-        gh, ght = tn.concat_cols_backward(gx, self.config.d_B)
-        gh, ght = gh.copy(), ght.copy()
+        d_b = self.config.d_B
+        gh, ght = gx[:, :d_b].copy(), gx[:, d_b:].copy()
         if ctx_nt is not None:
             ghp, gtp = nt_xent_backward(ctx_nt)
             gh += self.proj_text.backward(lam * ghp, ctx_pt)

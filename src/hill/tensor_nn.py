@@ -3,8 +3,15 @@ passes, linear layers, Adam, parameter checkpointing, and a
 central-difference gradient checker.
 
 No autodiff tape: the model graph is small and static, and explicit
-backward functions keep the finite-difference oracle meaningful. All ops
-reject NaN/Inf at their boundaries.
+backward functions keep the finite-difference oracle meaningful.
+
+Each array the model computes is checked for NaN/Inf once, by the first
+op that reads it: ``matmul``, ``relu``, ``sigmoid`` or a loss; parameter
+values are checked the same way on every pass. Glue between ops (bias
+adds, concatenation, slicing) checks nothing, because any non-finite
+value it passes on reaches one of those ops. Arrays from outside keep
+their own named checks: the token counts, the losses' inputs, each
+``Parameter`` value on construction and the gradients at ``Adam.step``.
 
 An Adam optimizer owns the storage of its parameter group: it keeps all
 values and all grads in one flat buffer each and rebinds every
@@ -49,34 +56,12 @@ def matmul_backward(grad, a, b):
     return grad @ b.T, a.T @ grad
 
 
-def add_bias(x, bias):
-    x, bias = as_matrix(x, "add_bias input"), as_matrix(bias, "bias")
-    if bias.shape != (1, x.shape[1]):
-        raise ValueError(f"add_bias shape mismatch: input {x.shape}, bias {bias.shape}")
-    return x + bias
-
-
-def add_bias_backward(grad):
-    return grad, grad.sum(axis=0, keepdims=True)
-
-
 def relu(x):
     return np.maximum(as_matrix(x, "relu input"), 0.0)
 
 
 def relu_backward(grad, x):
     return grad * (x > 0.0)
-
-
-def concat_cols(a, b):
-    a, b = as_matrix(a, "concat lhs"), as_matrix(b, "concat rhs")
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"concat_cols row mismatch: {a.shape} vs {b.shape}")
-    return np.concatenate([a, b], axis=1)
-
-
-def concat_cols_backward(grad, left_cols):
-    return grad[:, :left_cols], grad[:, left_cols:]
 
 
 def sigmoid(x):
@@ -118,14 +103,13 @@ class LinearLayer:
     def forward(self, x):
         y = matmul(x, self.weight.value)
         if self.bias is not None:
-            y = add_bias(y, self.bias.value)
+            y += self.bias.value
         return y, x
 
     def backward(self, grad, ctx):
         x = ctx
         if self.bias is not None:
-            grad, gbias = add_bias_backward(grad)
-            self.bias.grad += gbias
+            self.bias.grad += grad.sum(axis=0, keepdims=True)
         gx, gw = matmul_backward(grad, x, self.weight.value)
         self.weight.grad += gw
         return gx
@@ -203,18 +187,43 @@ def save_checkpoint(params, path):
 
 
 def load_checkpoint(params, path):
-    with open(path, encoding="utf-8") as fh:
-        blob = json.load(fh)
-    for p in params:
-        if p.name not in blob:
-            raise ValueError(f"checkpoint missing parameter {p.name}")
-        entry = blob[p.name]
-        if tuple(entry["shape"]) != p.value.shape:
-            raise ValueError(
-                f"checkpoint shape mismatch for {p.name}: "
-                f"{tuple(entry['shape'])} vs {p.value.shape}"
-            )
-        p.value[...] = np.asarray(entry["values"], dtype=np.float64).reshape(p.value.shape)
+    """Write each parameter's saved values into it in place. Every entry
+    is checked before any parameter is written; a bad file raises
+    ValueError naming the file and the parameter."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            blob = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(blob, dict):
+        raise ValueError(f"{path}: checkpoint must be a JSON object")
+    values = [_checkpoint_values(blob, p, path) for p in params]
+    for p, v in zip(params, values):
+        p.value[...] = v
+
+
+def _checkpoint_values(blob, p, path):
+    if p.name not in blob:
+        raise ValueError(f"{path}: checkpoint missing parameter {p.name}")
+    entry = blob[p.name]
+    if not isinstance(entry, dict) or "shape" not in entry or "values" not in entry:
+        raise ValueError(f"{path}: checkpoint entry for {p.name} needs a shape and values")
+    shape = entry["shape"]
+    if not isinstance(shape, list) or tuple(shape) != p.value.shape:
+        raise ValueError(
+            f"{path}: checkpoint shape mismatch for {p.name}: {shape} vs {list(p.value.shape)}"
+        )
+    try:
+        values = np.asarray(entry["values"], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: checkpoint values for {p.name} are not numbers") from None
+    if values.shape != (p.value.size,):
+        raise ValueError(
+            f"{path}: checkpoint values for {p.name} must be a flat list of "
+            f"{p.value.size} numbers, got shape {values.shape}"
+        )
+    check_finite(values, f"{path}: checkpoint values for {p.name}")
+    return values.reshape(p.value.shape)
 
 
 # -- gradient checking -----------------------------------------------

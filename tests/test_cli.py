@@ -188,18 +188,20 @@ def test_bad_graph_exits_nonzero(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "meta", [{}, {"vocab_size": 0}, {"vocab_size": "64"}, {"vocab_size": 2.5}, []]
+    "meta", [{}, {"vocab_size": 0}, {"vocab_size": "64"}, {"vocab_size": 2.5}, [], "{"]
 )
 def test_train_rejects_bad_meta(tmp_path, capsys, meta):
     data = tmp_path / "data"
     args = ["gen-data", "--out", str(data), "--depth", "2", "--branching", "2"]
     assert main(args + ["--n-train", "8", "--n-dev", "4", "--vocab", "64"]) == 0
-    (data / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    text = meta if isinstance(meta, str) else json.dumps(meta)  # a str is malformed JSON
+    (data / "meta.json").write_text(text, encoding="utf-8")
     capsys.readouterr()
     assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
-    assert err[0].startswith("error: ") and "meta.json" in err[0] and "vocab_size" in err[0]
+    assert err[0].startswith(f"error: {data / 'meta.json'}: ")
+    assert isinstance(meta, str) or "vocab_size" in err[0]
 
 
 @pytest.fixture(scope="module")
@@ -285,6 +287,31 @@ def test_train_rejects_bad_taxonomy_naming_the_file(tmp_path, capsys, tiny_data,
     assert len(err) == 1
     assert err[0].startswith(f"error: {taxonomy}: ") and why in err[0]
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("lambda_clr", [0.1, 0])
+def test_train_refuses_empty_doc_only_for_contrastive_training(tmp_path, capsys, tiny_data, lambda_clr):
+    # a doc with no tokens embeds to exactly 0 at init, and NT-Xent cannot normalise 0
+    data = tmp_path / "data"
+    shutil.copytree(tiny_data, data)
+    train = data / "train.jsonl"
+    rows = train.read_text(encoding="utf-8").splitlines()
+    rows[2] = json.dumps({"tokens": [], "labels": json.loads(rows[2])["labels"]})
+    train.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"lambda_clr": lambda_clr, "epochs": 1}), encoding="utf-8")
+    capsys.readouterr()
+    run = tmp_path / "run"
+    rc = main(["train", "--data", str(data), "--out", str(run), "--config", str(config)])
+    captured = capsys.readouterr()
+    if lambda_clr == 0:
+        assert rc == 0 and captured.out.startswith("epoch 1 ")
+        return
+    assert rc == 1
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {train}: example 3 has no tokens")
+    assert not run.exists()
 
 
 def test_wide_taxonomy_trains_one_epoch(tmp_path, capsys):

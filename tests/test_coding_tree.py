@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hill.coding_tree import CodingTree, initial_tree
-from hill.entropy_min import build_two_level
+from hill.entropy_min import build_coding_tree, build_two_level
 from hill.graph import build_graph
 
 from conftest import random_graph, ref_entropy
@@ -228,6 +228,59 @@ def test_validate_catches_stale_cache(cycle4):
     tree = initial_tree(cycle4)
     tree.nodes[0].volume += 1
     with pytest.raises(ValueError, match="stale cached volume"):
+        tree.validate()
+
+
+def _move_leaf(tree, leaf, to):
+    tree.nodes[tree.nodes[leaf].parent].children.remove(leaf)
+    tree.nodes[to].children.append(leaf)
+    tree.nodes[leaf].parent = to
+
+
+def _reroot(tree, nid):
+    keep = set(tree.subtree_ids(nid))
+    tree.nodes = {i: n for i, n in tree.nodes.items() if i in keep}
+    tree.root_id, tree.nodes[nid].parent = nid, None
+
+
+def _collapse(tree, nid):
+    for c in tree.nodes[nid].children:
+        del tree.nodes[c]
+    tree.nodes[nid].children = []
+
+
+# Each corruption gets (tree, root, a, b): a greedy K=2 tree over two
+# triangles, whose root has the two triangles a and b as children.
+_CORRUPTIONS = {
+    "missing-root": (lambda t, r, a, b: setattr(t, "root_id", max(t.nodes) + 1), "missing root"),
+    "root-parent": (lambda t, r, a, b: setattr(r, "parent", a.id), "root must have no parent"),
+    "reached-twice": (lambda t, r, a, b: r.children.append(a.id), "reachable twice"),
+    "unreachable": (lambda t, r, a, b: a.children.pop(), "unreachable from the root"),
+    "not-in-parent-list": (
+        lambda t, r, a, b: setattr(t.nodes[a.children[0]], "parent", b.id),
+        "missing from parent's child list",
+    ),
+    "not-a-partition": (
+        lambda t, r, a, b: _move_leaf(t, a.children[0], b.id),
+        "children do not partition its subset",
+    ),
+    "stale-cut": (
+        lambda t, r, a, b: setattr(t.nodes[a.children[0]], "cut", t.nodes[a.children[0]].cut + 1),
+        "stale cached cut",
+    ),
+    "root-not-whole-graph": (lambda t, r, a, b: _reroot(t, a.id), "root must mark the whole graph"),
+    "leaf-not-a-vertex": (lambda t, r, a, b: _collapse(t, a.id), "leaves do not biject"),
+}
+
+
+@pytest.mark.parametrize("corrupt,why", _CORRUPTIONS.values(), ids=_CORRUPTIONS.keys())
+def test_validate_names_each_broken_invariant(bridge_triangles, corrupt, why):
+    tree = build_coding_tree(bridge_triangles, 2)
+    tree.validate()
+    root = tree.nodes[tree.root_id]
+    a, b = (tree.nodes[c] for c in root.children)
+    corrupt(tree, root, a, b)
+    with pytest.raises(ValueError, match=why):
         tree.validate()
 
 

@@ -329,6 +329,30 @@ def test_predict_labels_thresholds_probs():
         assert lab == set(np.nonzero(row > 0.5)[0].tolist())
 
 
+@pytest.mark.parametrize("eta,k", [("sum", 2), ("mean", 3)])
+def test_non_finite_parameter_entry_is_rejected(eta, k):
+    """Every parameter entry reaches a check: each kernel op checks what
+    it reads, so a NaN or inf anywhere in the model raises instead of
+    flowing into a loss or a prediction."""
+    _, _, model, _, counts, y = small_setup(lambda_clr=0.1, k=k, eta=eta)
+    cb, yb = counts[:4], y[:4]
+    for param in model.parameters():
+        contrastive_only = param.name.startswith(("proj_text.", "proj_tree."))
+        flat = param.value.ravel()
+        for idx in range(flat.size):
+            orig = flat[idx]
+            for bad in (np.nan, np.inf, -np.inf):
+                flat[idx] = bad
+                with np.errstate(invalid="ignore", over="ignore"):
+                    with pytest.raises(ValueError, match="non-finite"):
+                        model.forward_batch(cb, yb)
+                    if not contrastive_only:
+                        with pytest.raises(ValueError, match="non-finite"):
+                            model.predict_probs(cb)
+            flat[idx] = orig
+        assert np.isfinite(model.predict_probs(cb)).all()
+
+
 def test_train_reduces_loss_and_reports():
     h, config, model, docs, _, _ = small_setup(seed=11)
     report = train(model, docs, docs, config)

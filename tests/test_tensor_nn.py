@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -23,29 +26,11 @@ def test_matmul_shape_check():
         tn.matmul(np.ones((2, 3)), np.ones((2, 3)))
 
 
-def test_add_bias_backward():
-    rng = np.random.default_rng(1)
-    x, bias = rng.normal(size=(5, 3)), rng.normal(size=(1, 3))
-    grad = rng.normal(size=(5, 3))
-    gx, gb = tn.add_bias_backward(grad)
-    fd_check(lambda v: float(np.sum(tn.add_bias(x, v) * grad)), bias, gb)
-    assert np.array_equal(gx, grad)
-
-
 def test_relu_backward():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(4, 4)) + 0.05  # keep clear of the kink
     grad = rng.normal(size=(4, 4))
     fd_check(lambda v: float(np.sum(tn.relu(v) * grad)), x, tn.relu_backward(grad, x))
-
-
-def test_concat_and_reductions():
-    rng = np.random.default_rng(3)
-    a, b = rng.normal(size=(3, 2)), rng.normal(size=(3, 4))
-    grad = rng.normal(size=(3, 6))
-    ga, gb = tn.concat_cols_backward(grad, 2)
-    fd_check(lambda v: float(np.sum(tn.concat_cols(v, b) * grad)), a, ga)
-    fd_check(lambda v: float(np.sum(tn.concat_cols(a, v) * grad)), b, gb)
 
 
 def test_sigmoid_stable_and_backward():
@@ -76,14 +61,18 @@ def test_linear_layer_gradients():
     y, ctx = layer.forward(x)
     gx = layer.backward(grad, ctx)
 
-    def loss_w(w):
-        saved = layer.weight.value.copy()
-        layer.weight.value[...] = w
-        out, _ = layer.forward(x)
-        layer.weight.value[...] = saved
-        return float(np.sum(out * grad))
+    def loss_of(param):
+        def loss(v):
+            saved = param.value.copy()
+            param.value[...] = v
+            out, _ = layer.forward(x)
+            param.value[...] = saved
+            return float(np.sum(out * grad))
 
-    fd_check(loss_w, layer.weight.value.copy(), layer.weight.grad)
+        return loss
+
+    fd_check(loss_of(layer.weight), layer.weight.value.copy(), layer.weight.grad)
+    fd_check(loss_of(layer.bias), layer.bias.value.copy(), layer.bias.grad)
     fd_check(lambda v: float(np.sum((layer.forward(v)[0]) * grad)), x, gx)
 
 
@@ -192,6 +181,39 @@ def test_checkpoint_shape_and_name_errors(tmp_path):
         tn.load_checkpoint([tn.Parameter("other", np.zeros((2, 2)))], path)
     with pytest.raises(ValueError, match="shape mismatch"):
         tn.load_checkpoint([tn.Parameter("a", np.zeros((1, 2)))], path)
+
+
+@pytest.mark.parametrize(
+    "entry,why",
+    [
+        ([0.0, 0.0], "needs a shape and values"),
+        ({"values": [0.0, 0.0]}, "needs a shape and values"),
+        ({"shape": [1, 2]}, "needs a shape and values"),
+        ({"shape": [2, 1], "values": [0.0, 0.0]}, "shape mismatch for b"),
+        ({"shape": [1, 2], "values": [0.0]}, "flat list of 2 numbers, got shape (1,)"),
+        ({"shape": [1, 2], "values": [[0.0, 0.0]]}, "flat list of 2 numbers, got shape (1, 2)"),
+        ({"shape": [1, 2], "values": ["x", 0.0]}, "values for b are not numbers"),
+        ({"shape": [1, 2], "values": [float("nan"), 0.0]}, "values for b contains non-finite"),
+        ({"shape": [1, 2], "values": [0.0, float("inf")]}, "values for b contains non-finite"),
+        ({"shape": [1, 2], "values": [float("-inf"), 0.0]}, "values for b contains non-finite"),
+    ],
+)
+def test_checkpoint_rejects_bad_entry_before_writing(tmp_path, entry, why):
+    path = tmp_path / "ckpt.json"
+    blob = {"a": {"shape": [2, 2], "values": [1.0, 2.0, 3.0, 4.0]}, "b": entry}
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    params = [tn.Parameter("a", np.zeros((2, 2))), tn.Parameter("b", np.zeros((1, 2)))]
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: checkpoint.*{re.escape(why)}"):
+        tn.load_checkpoint(params, path)
+    assert not params[0].value.any()  # the valid entry before it was not written
+
+
+@pytest.mark.parametrize("text", ["{", "[]"])
+def test_checkpoint_rejects_malformed_file(tmp_path, text):
+    path = tmp_path / "ckpt.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        tn.load_checkpoint([tn.Parameter("a", np.zeros((1, 1)))], path)
 
 
 def test_max_rel_error_floor():
