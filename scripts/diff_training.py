@@ -8,8 +8,10 @@ With each tree's `src/` (in a subprocess, one BLAS thread) it runs
 two `report.jsonl` files: dev micro- and macro-F1 must be identical in
 every epoch and train loss within 1e-6 relative. Both runs read this
 tree's config file. Exits 1 on any mismatch. It also prints whether the
-two `checkpoint.json` files are byte-identical; that line is information
-only and does not affect the exit status.
+two `checkpoint.json` files are byte-identical, and each side's peak
+resident set for `hill train` (the child's `ru_maxrss`, read when it is
+reaped); those lines are information only and do not affect the exit
+status.
 
     mkdir ../hill-parent && git archive HEAD~1 | tar -x -C ../hill-parent
     python scripts/diff_training.py --ref ../hill-parent
@@ -29,17 +31,30 @@ TREE = Path(__file__).resolve().parents[1]
 CONFIG = TREE / "configs" / "default.json"
 
 
+def run_hill(cmd, env, log):
+    """Run one hill command with its output in `log`; return its peak
+    resident set in MB. Raises CalledProcessError on a nonzero exit."""
+    with open(log, "w", encoding="utf-8") as out:
+        proc = subprocess.Popen(cmd, env=env, stdout=out, stderr=subprocess.STDOUT)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, cmd, Path(log).read_text("utf-8"))
+    return usage.ru_maxrss / 1024.0  # kilobytes on Linux
+
+
 def run_report(tree, workdir):
+    """(report rows, checkpoint bytes, peak RSS of `hill train` in MB)."""
     env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"), OPENBLAS_NUM_THREADS="1")
     hill = [sys.executable, "-m", "hill.cli"]
-    data, run = Path(workdir) / "data", Path(workdir) / "run"
+    data, run, log = Path(workdir) / "data", Path(workdir) / "run", Path(workdir) / "log.txt"
+    seed = ["--seed", str(SEED)]
+    run_hill(hill + ["gen-data", "--out", str(data)] + seed, env, log)
     train = ["train", "--data", str(data), "--out", str(run), "--config", str(CONFIG)]
-    for args in (["gen-data", "--out", str(data)], train):
-        cmd = hill + args + ["--seed", str(SEED)]
-        subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
+    rss = run_hill(hill + train + seed, env, log)
     lines = (run / "report.jsonl").read_text(encoding="utf-8").splitlines()
     report = [json.loads(line) for line in lines if line.strip()]
-    return report, (run / "checkpoint.json").read_bytes()
+    return report, (run / "checkpoint.json").read_bytes(), rss
 
 
 def compare(ref, new, rtol):
@@ -64,11 +79,12 @@ def main():
     parser.add_argument("--ref", required=True, help="reference checkout (holds src/hill)")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as ref_dir, tempfile.TemporaryDirectory() as new_dir:
-        ref, ref_ckpt = run_report(args.ref, ref_dir)
-        new, new_ckpt = run_report(TREE, new_dir)
+        ref, ref_ckpt, ref_rss = run_report(args.ref, ref_dir)
+        new, new_ckpt, new_rss = run_report(TREE, new_dir)
     worst, problems = compare(ref, new, LOSS_RTOL)
     print(f"epochs {len(new)}; max train-loss rel diff {worst:.3e}; mismatches {len(problems)}")
     print(f"checkpoint.json byte-identical: {'yes' if ref_ckpt == new_ckpt else 'no'}")
+    print(f"hill train peak RSS: ref {ref_rss:.1f} MB, this tree {new_rss:.1f} MB")
     for p in problems:
         print(p)
     return 1 if problems else 0

@@ -16,7 +16,7 @@ from . import datagen, experiments
 from .coding_tree import CodingTree
 from .entropy_min import build_coding_tree, oracle_min_entropy
 from .graph import load_graph_file
-from .hill_model import HillConfig
+from .hill_model import HillConfig, refuse_empty_docs
 from .metrics import macro_f1, micro_f1
 from .tensor_nn import save_checkpoint
 
@@ -97,13 +97,10 @@ def _cmd_train(args):
     if config.K >= h.num_labels:  # refused before --out exists, as build_coding_tree would
         raise ValueError(f"height {config.K} not realizable on {h.num_labels} vertices")
     train_docs = datagen.load_dataset(data / "train.jsonl", vocab, h.num_labels)
-    if config.lambda_clr > 0:  # a doc with no tokens embeds to 0, which NT-Xent cannot normalise
-        empty = next((i for i, ex in enumerate(train_docs, 1) if not ex.tokens), None)
-        if empty is not None:
-            raise ValueError(
-                f"{data / 'train.jsonl'}: example {empty} has no tokens, "
-                "which contrastive training (lambda_clr > 0) cannot use"
-            )
+    try:
+        refuse_empty_docs(train_docs, config)
+    except ValueError as exc:
+        raise ValueError(f"{data / 'train.jsonl'}: {exc}") from None
     dev_docs = datagen.load_dataset(data / "dev.jsonl", vocab, h.num_labels)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -228,11 +229,19 @@ def _ids_by_doc(id_lists, limit, what):
     ValueError naming the document and the id on the first id outside
     [0, limit)."""
     rows = np.repeat(np.arange(len(id_lists)), [len(ids) for ids in id_lists])
-    ids = np.asarray([i for ids in id_lists for i in ids], dtype=np.int64)
+    ids = np.asarray(list(chain.from_iterable(id_lists)), dtype=np.int64)
     bad = np.flatnonzero((ids < 0) | (ids >= limit))
     if bad.size:
         raise ValueError(f"doc {rows[bad[0]]}: {what} id {ids[bad[0]]} outside [0, {limit})")
     return rows, ids
+
+
+def check_ids(examples, vocab_size, num_labels):
+    """The id check of count_matrix and label_matrix, without building
+    either: ValueError names the document and the id on the first token
+    id outside [0, vocab_size) or label id outside [0, num_labels)."""
+    _ids_by_doc([ex.tokens for ex in examples], vocab_size, "token")
+    _ids_by_doc([ex.labels for ex in examples], num_labels, "label")
 
 
 def count_matrix(examples, vocab_size) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor_nn as tn
 from .coding_tree import CodingTree
-from .datagen import count_matrix, label_matrix
+from .datagen import check_ids, count_matrix, label_matrix
 from .metrics import macro_f1, micro_f1
 
 ETA_MODES = ("sum", "mean")
@@ -101,8 +101,8 @@ class BagOfWordsEncoder:
         self.lin = tn.LinearLayer(d_b, d_b, rng, name="encoder.out")
 
     def encode_counts(self, counts):
-        counts = tn.as_matrix(counts, "token counts")
-        summed = tn.matmul(counts, self.embedding.value)
+        counts = np.asarray(counts, dtype=np.float64)
+        summed = tn.matmul(counts, self.embedding.value, lhs_name="token counts")
         z, lctx = self.lin.forward(summed)
         return tn.relu(z), (counts, z, lctx)
 
@@ -467,18 +467,31 @@ class HillModel:
         return [set(np.nonzero(row > 0.5)[0].tolist()) for row in probs]
 
 
+def refuse_empty_docs(examples, config: HillConfig):
+    """With lambda_clr > 0, ValueError names the 1-based position of the
+    first example with no tokens: it embeds to exactly 0 at init, which
+    NT-Xent cannot normalise."""
+    empty = next((i for i, ex in enumerate(examples, 1) if not ex.tokens), None)
+    if config.lambda_clr > 0 and empty is not None:
+        why = "which contrastive training (lambda_clr > 0) cannot use"
+        raise ValueError(f"example {empty} has no tokens, {why}")
+
+
 def train(model: HillModel, train_examples, dev_examples, config: HillConfig, report_path=None):
     """Minibatch training with Adam; per-epoch loss and dev Micro/Macro-F1.
 
     Encoder parameters step at lr_encoder, everything else at
-    lr_structure. Deterministic under config.seed.
+    lr_structure. Deterministic under config.seed. Every id of both lists
+    is checked before the first step; the dense count and label arrays
+    are built per batch, and dev predictions run in batch_size slices,
+    so memory grows with the batch, not with the corpus.
     """
     if not train_examples:
         raise ValueError("empty training set")
-    vocab = model.encoder.vocab_size
-    c_train = count_matrix(train_examples, vocab)
-    y_train = label_matrix(train_examples, model.num_labels)
-    c_dev = count_matrix(dev_examples, vocab)
+    vocab, num_labels, bs = model.encoder.vocab_size, model.num_labels, config.batch_size
+    check_ids(train_examples, vocab, num_labels)
+    check_ids(dev_examples, vocab, num_labels)
+    refuse_empty_docs(train_examples, config)
     gold_dev = [set(ex.labels) for ex in dev_examples]
     opt_enc = tn.Adam(model.encoder_params(), config.lr_encoder)
     opt_struct = tn.Adam(model.structure_params(), config.lr_structure)
@@ -489,23 +502,28 @@ def train(model: HillModel, train_examples, dev_examples, config: HillConfig, re
     try:
         for epoch in range(1, config.epochs + 1):
             perm = rng.permutation(n)
-            batches = [perm[i : i + config.batch_size] for i in range(0, n, config.batch_size)]
+            batches = [perm[i : i + bs] for i in range(0, n, bs)]
             if config.lambda_clr > 0 and len(batches) > 1 and len(batches[-1]) == 1:
                 batches[-2] = np.concatenate([batches[-2], batches[-1]])
                 batches.pop()
             total = 0.0
             for idx in batches:
+                batch = [train_examples[i] for i in idx]
                 model.zero_grad()
-                loss, _, ctx = model.forward_batch(c_train[idx], y_train[idx])
+                loss, _, ctx = model.forward_batch(
+                    count_matrix(batch, vocab), label_matrix(batch, num_labels)
+                )
                 model.backward(ctx)
                 opt_enc.step()
                 opt_struct.step()
                 total += loss * len(idx)
             row = {"epoch": epoch, "train_loss": total / n}
             if dev_examples:
-                preds = model.predict_labels(c_dev)
+                preds = []
+                for i in range(0, len(dev_examples), bs):
+                    preds += model.predict_labels(count_matrix(dev_examples[i : i + bs], vocab))
                 row["dev_micro_f1"] = micro_f1(preds, gold_dev)
-                row["dev_macro_f1"] = macro_f1(preds, gold_dev, model.num_labels)
+                row["dev_macro_f1"] = macro_f1(preds, gold_dev, num_labels)
             report.append(row)
             if out:
                 out.write(json.dumps(row, sort_keys=True) + "\n")

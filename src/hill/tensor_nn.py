@@ -10,8 +10,9 @@ op that reads it: ``matmul``, ``relu``, ``sigmoid`` or a loss; parameter
 values are checked the same way on every pass. Glue between ops (bias
 adds, concatenation, slicing) checks nothing, because any non-finite
 value it passes on reaches one of those ops. Arrays from outside keep
-their own named checks: the token counts, the losses' inputs, each
-``Parameter`` value on construction and the gradients at ``Adam.step``.
+their own named checks: the token counts (by the encoder's ``matmul``,
+under that name), the losses' inputs, each ``Parameter`` value on
+construction and the gradients at ``Adam.step``.
 
 An Adam optimizer owns the storage of its parameter group: it keeps all
 values and all grads in one flat buffer each and rebinds every
@@ -45,8 +46,8 @@ def as_matrix(x, name: str = "tensor") -> np.ndarray:
 # -- elementary ops --------------------------------------------------
 
 
-def matmul(a, b):
-    a, b = as_matrix(a, "matmul lhs"), as_matrix(b, "matmul rhs")
+def matmul(a, b, lhs_name="matmul lhs"):
+    a, b = as_matrix(a, lhs_name), as_matrix(b, "matmul rhs")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     return a @ b
@@ -209,11 +210,14 @@ def _checkpoint_values(blob, p, path):
     if not isinstance(entry, dict) or "shape" not in entry or "values" not in entry:
         raise ValueError(f"{path}: checkpoint entry for {p.name} needs a shape and values")
     shape = entry["shape"]
-    if not isinstance(shape, list) or tuple(shape) != p.value.shape:
+    # a JSON boolean would compare equal to 0 or 1 and load as a number
+    if not isinstance(shape, list) or _has_bool(shape) or tuple(shape) != p.value.shape:
         raise ValueError(
             f"{path}: checkpoint shape mismatch for {p.name}: {shape} vs {list(p.value.shape)}"
         )
     try:
+        if _has_bool(entry["values"]):
+            raise TypeError("a boolean is not a number")
         values = np.asarray(entry["values"], dtype=np.float64)
     except (TypeError, ValueError):
         raise ValueError(f"{path}: checkpoint values for {p.name} are not numbers") from None
@@ -224,6 +228,12 @@ def _checkpoint_values(blob, p, path):
         )
     check_finite(values, f"{path}: checkpoint values for {p.name}")
     return values.reshape(p.value.shape)
+
+
+def _has_bool(x):
+    """A JSON boolean, or a list holding one at its top level; nested
+    lists are refused by the shape checks anyway."""
+    return isinstance(x, bool) or (isinstance(x, list) and bool in map(type, x))
 
 
 # -- gradient checking -----------------------------------------------

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hill import tensor_nn as tn
-from hill.datagen import count_matrix, gen_corpus, gen_hierarchy, hierarchy_to_graph, label_matrix
+from hill.datagen import Example, count_matrix, gen_corpus, gen_hierarchy, hierarchy_to_graph, label_matrix
 from hill.entropy_min import build_coding_tree
 from hill.hill_model import (
     HillConfig,
@@ -384,6 +386,43 @@ def test_train_rejects_empty_training_set():
     h, config, model, docs, _, _ = small_setup()
     with pytest.raises(ValueError, match="empty"):
         train(model, [], docs, config)
+
+
+def test_train_checks_every_id_before_the_first_step():
+    _, config, model, docs, _, _ = small_setup(seed=14)
+    before = [p.value.copy() for p in model.parameters()]
+    bad_token = docs[:11] + [Example(tokens=[3, 32], labels=docs[11].labels)]
+    with pytest.raises(ValueError, match=r"^doc 11: token id 32 outside \[0, 32\)"):
+        train(model, bad_token, docs, config)
+    bad_label = docs[:4] + [Example(tokens=docs[4].tokens, labels=[-1])]
+    with pytest.raises(ValueError, match=r"^doc 4: label id -1 outside"):
+        train(model, docs, bad_label, config)
+    assert all((p.value == v).all() for p, v in zip(model.parameters(), before))
+
+
+def test_train_memory_does_not_grow_with_the_corpus():
+    # one epoch on 2000 docs at V=4096: a dense count matrix would take
+    # 2000 x 4096 x 8 bytes = 65.5 MB; per-batch arrays take 1 MB
+    vocab, n = 4096, 2000
+    h = gen_hierarchy(3, 4, 0)
+    config = HillConfig(d_B=8, d_V=4, epochs=1, batch_size=32)
+    tree = build_coding_tree(hierarchy_to_graph(h), config.K)
+    model = HillModel(config, vocab_size=vocab, num_labels=h.num_labels, tree=tree)
+    docs = gen_corpus(h, 100, vocab, seed=0) * (n // 100)
+    tracemalloc.start()
+    try:
+        train(model, docs, docs[:500], config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * vocab * 8 / 4
+
+
+def test_token_counts_are_named_in_their_check():
+    _, _, model, _, counts, _ = small_setup()
+    counts[1, 3] = np.nan
+    with pytest.raises(ValueError, match="^token counts contains non-finite values"):
+        model.predict_probs(counts)
 
 
 def test_training_is_deterministic():
