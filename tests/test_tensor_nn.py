@@ -190,14 +190,14 @@ def test_checkpoint_shape_and_name_errors(tmp_path):
         ({"values": [0.0, 0.0]}, "needs a shape and values"),
         ({"shape": [1, 2]}, "needs a shape and values"),
         ({"shape": [2, 1], "values": [0.0, 0.0]}, "shape mismatch for b"),
-        ({"shape": [True, 2], "values": [0.0, 0.0]}, "shape mismatch for b"),
         ({"shape": [1, 2], "values": [0.0]}, "flat list of 2 numbers, got shape (1,)"),
         ({"shape": [1, 2], "values": [[0.0, 0.0]]}, "flat list of 2 numbers, got shape (1, 2)"),
         ({"shape": [1, 2], "values": ["x", 0.0]}, "values for b are not numbers"),
-        ({"shape": [1, 2], "values": [True, False]}, "values for b are not numbers"),
         ({"shape": [1, 2], "values": [float("nan"), 0.0]}, "values for b contains non-finite"),
         ({"shape": [1, 2], "values": [0.0, float("inf")]}, "values for b contains non-finite"),
         ({"shape": [1, 2], "values": [float("-inf"), 0.0]}, "values for b contains non-finite"),
+        ({"shape": [True, 2], "values": [0.0, 0.0]}, "shape mismatch for b"),
+        ({"shape": [1, 2], "values": [True, False]}, "values for b are not numbers"),
     ],
 )
 def test_checkpoint_rejects_bad_entry_before_writing(tmp_path, entry, why):
