@@ -15,7 +15,7 @@ from pathlib import Path
 from . import datagen, experiments
 from .coding_tree import CodingTree
 from .entropy_min import build_coding_tree, oracle_min_entropy
-from .graph import load_graph_file
+from .graph import load_graph_file, prefix_errors
 from .hill_model import HillConfig, refuse_empty_docs
 from .metrics import macro_f1, micro_f1
 from .tensor_nn import save_checkpoint
@@ -25,7 +25,7 @@ log = logging.getLogger("hill")
 
 def _cmd_entropy(args):
     g = load_graph_file(args.graph)
-    with open(args.tree, encoding="utf-8") as fh:
+    with prefix_errors(args.tree), open(args.tree, encoding="utf-8") as fh:
         tree = CodingTree.from_json(g, fh.read())
     print(f"{tree.structural_entropy():.4f}")
 
@@ -73,13 +73,11 @@ def _cmd_gen_data(args):
 
 
 def _vocab_size(meta_path: Path) -> int:
-    try:
+    with prefix_errors(meta_path):
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{meta_path}: {exc}") from None
-    vocab = meta.get("vocab_size") if isinstance(meta, dict) else None
-    if not isinstance(vocab, int) or isinstance(vocab, bool) or vocab < 1:
-        raise ValueError(f"{meta_path}: vocab_size must be a positive integer, got {vocab!r}")
+        vocab = meta.get("vocab_size") if isinstance(meta, dict) else None
+        if not isinstance(vocab, int) or isinstance(vocab, bool) or vocab < 1:
+            raise ValueError(f"vocab_size must be a positive integer, got {vocab!r}")
     return vocab
 
 
@@ -97,10 +95,8 @@ def _cmd_train(args):
     if config.K >= h.num_labels:  # refused before --out exists, as build_coding_tree would
         raise ValueError(f"height {config.K} not realizable on {h.num_labels} vertices")
     train_docs = datagen.load_dataset(data / "train.jsonl", vocab, h.num_labels)
-    try:
+    with prefix_errors(data / "train.jsonl"):
         refuse_empty_docs(train_docs, config)
-    except ValueError as exc:
-        raise ValueError(f"{data / 'train.jsonl'}: {exc}") from None
     dev_docs = datagen.load_dataset(data / "dev.jsonl", vocab, h.num_labels)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -18,7 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph, prefix_errors
 
 TOKENS_PER_LABEL = 4
 _SIGNAL_PROB = 0.85
@@ -119,12 +119,12 @@ def load_taxonomy(path) -> LabelHierarchy:
             ids[name] = len(ids)
         return ids[name]
 
-    with open(path, encoding="utf-8") as fh:
+    with prefix_errors(path), open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            where = f"{path}: line {lineno}"
+            where = f"line {lineno}"
             fields = line.split("\t")
             if len(fields) < 2:
                 raise ValueError(f"{where}: expected parent and children")
@@ -136,15 +136,12 @@ def load_taxonomy(path) -> LabelHierarchy:
                 if child in parent:
                     raise ValueError(f"{where}: label {name!r} has two parents")
                 parent[child] = par
-    if not ids:
-        raise ValueError(f"{path}: taxonomy file is empty")
-    names = [None] * len(ids)
-    for name, i in ids.items():
-        names[i] = name
-    try:
+        if not ids:
+            raise ValueError("taxonomy file is empty")
+        names = [None] * len(ids)
+        for name, i in ids.items():
+            names[i] = name
         return LabelHierarchy(names=names, parent=parent)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def label_token(label: int, slot: int, vocab_size: int) -> int:
@@ -152,15 +149,9 @@ def label_token(label: int, slot: int, vocab_size: int) -> int:
     return (label * 7919 + slot * 104729 + 13) % vocab_size
 
 
-def gen_corpus(
-    h: LabelHierarchy,
-    n_docs: int,
-    vocab_size: int,
-    seed: int,
-    max_tokens: int = 64,
-):
-    """Documents with root-to-leaf label paths and label-indicative tokens;
-    deterministic under seed."""
+def gen_corpus(h: LabelHierarchy, n_docs: int, vocab_size: int, seed: int):
+    """Documents with root-to-leaf label paths and 20 to 40
+    label-indicative tokens each; deterministic under seed."""
     if n_docs < 1:
         raise ValueError("need at least one document")
     if vocab_size < 1:
@@ -173,9 +164,8 @@ def gen_corpus(
     for _ in range(n_docs):
         leaf = leaves[rng.integers(len(leaves))]
         labels = sorted(h.path_from_root(leaf))
-        length = min(int(rng.integers(20, 41)), max_tokens)
         tokens = []
-        for _ in range(length):
+        for _ in range(int(rng.integers(20, 41))):
             if rng.random() < _SIGNAL_PROB:
                 lab = labels[rng.integers(len(labels))]
                 tokens.append(label_token(lab, int(rng.integers(TOKENS_PER_LABEL)), vocab_size))
@@ -196,44 +186,54 @@ def load_dataset(path, vocab_size=None, num_labels=None):
     when the limit is given, below vocab_size (tokens) or num_labels
     (labels); otherwise ValueError names the file, the line and the id."""
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with prefix_errors(path), open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
-            where = f"{path}: line {lineno}"
-            obj = json.loads(line)
-            if not isinstance(obj, dict) or "labels" not in obj:
-                raise ValueError(f"{where}: missing 'labels'")
-            tokens = _checked_ids(obj.get("tokens", []), vocab_size, "token", where)
-            labels = _checked_ids(obj["labels"], num_labels, "label", where)
+            with prefix_errors(f"line {lineno}"):
+                obj = json.loads(line)
+                if not isinstance(obj, dict) or "labels" not in obj:
+                    raise ValueError("missing 'labels'")
+                tokens = _checked_ids(obj.get("tokens", []), vocab_size, "token")
+                labels = _checked_ids(obj["labels"], num_labels, "label")
             out.append(Example(tokens=tokens, labels=labels))
     return out
 
 
-def _checked_ids(ids, limit, what, where):
+def _checked_ids(ids, limit, what):
     if not isinstance(ids, list):
-        raise ValueError(f"{where}: {what}s {ids!r} is not a list")
+        raise ValueError(f"{what}s {ids!r} is not a list")
     for i in ids:
         if type(i) is not int:  # rejects 1.5, "3", true and nested lists
-            raise ValueError(f"{where}: {what} id {i!r} is not an integer")
+            raise ValueError(f"{what} id {i!r} is not an integer")
         if i < 0:
-            raise ValueError(f"{where}: {what} id {i} is negative")
+            raise ValueError(f"{what} id {i} is negative")
         if limit is not None and i >= limit:
-            raise ValueError(f"{where}: {what} id {i} outside [0, {limit})")
+            raise ValueError(f"{what} id {i} outside [0, {limit})")
     return ids
 
 
 def _ids_by_doc(id_lists, limit, what):
     """Flatten per-document id lists into (doc index, id) arrays, raising
-    ValueError naming the document and the id on the first id outside
-    [0, limit)."""
+    ValueError naming the document and the id on the first id that is not
+    an integer or lies outside [0, limit). Python ints become one int64
+    array in one pass; only other input is walked id by id."""
     rows = np.repeat(np.arange(len(id_lists)), [len(ids) for ids in id_lists])
-    ids = np.asarray(list(chain.from_iterable(id_lists)), dtype=np.int64)
+    flat = list(chain.from_iterable(id_lists))
+    try:
+        ids = np.asarray(flat)
+    except ValueError:  # ragged nesting, such as [1, [2]]
+        ids = None
+    if ids is None or ids.ndim != 1 or ids.dtype.kind != "i":  # empty, bool, float, str, nested
+        for doc, i in zip(rows, flat):
+            if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+                raise ValueError(f"doc {doc}: {what} id {i!r} is not an integer")
+        ids = np.asarray(flat, dtype=object)
     bad = np.flatnonzero((ids < 0) | (ids >= limit))
     if bad.size:
         raise ValueError(f"doc {rows[bad[0]]}: {what} id {ids[bad[0]]} outside [0, {limit})")
-    return rows, ids
+    return rows, ids.astype(np.int64, copy=False)
 
 
 def check_ids(examples, vocab_size, num_labels):

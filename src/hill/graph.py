@@ -1,5 +1,6 @@
 """Undirected unit-weight graphs and the volume/cut queries that structural
-entropy is built from.
+entropy is built from, plus `prefix_errors`, which every input reader
+uses to name its file in a ValueError.
 
 Graphs are immutable after construction and safe to share across threads.
 Edge-list text format: one "u v" pair per line, `#` comments ignored,
@@ -8,7 +9,9 @@ Edge-list text format: one "u v" pair per line, `#` comments ignored,
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 
 
 @dataclass(frozen=True)
@@ -37,18 +40,19 @@ def build_graph(node_count: int, edge_pairs) -> Graph:
         if not (0 <= u < node_count and 0 <= v < node_count):
             raise ValueError(f"edge ({u}, {v}) out of range for {node_count} vertices")
         edges.add((min(u, v), max(u, v)))
+    # found from the endpoints, so a huge sparse id range allocates nothing
+    touched = set(chain.from_iterable(edges))
+    if len(touched) < node_count:
+        v = next(v for v in range(node_count) if v not in touched)
+        raise ValueError(f"vertex {v} is isolated (degree 0)")
     neighbors = [set() for _ in range(node_count)]
     for u, v in edges:
         neighbors[u].add(v)
         neighbors[v].add(u)
-    degree = tuple(len(n) for n in neighbors)
-    for v, d in enumerate(degree):
-        if d == 0:
-            raise ValueError(f"vertex {v} is isolated (degree 0)")
     return Graph(
         node_count=node_count,
         edges=frozenset(edges),
-        degree=degree,
+        degree=tuple(len(n) for n in neighbors),
         adjacency=tuple(frozenset(n) for n in neighbors),
     )
 
@@ -80,8 +84,20 @@ def load_graph(text: str) -> Graph:
 
 
 def load_graph_file(path) -> Graph:
-    with open(path, encoding="utf-8") as fh:
+    with prefix_errors(path), open(path, encoding="utf-8") as fh:
         return load_graph(fh.read())
+
+
+@contextmanager
+def prefix_errors(prefix):
+    """Re-raise any ValueError from the body, undecodable text and bad
+    JSON included, as ValueError(f"{prefix}: {message}"). Input readers
+    wrap a file's parse in it to name the file, and a line in it to name
+    the line."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{prefix}: {exc}") from None
 
 
 def _check_subset(g: Graph, subset) -> frozenset:

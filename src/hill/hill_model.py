@@ -19,6 +19,7 @@ import numpy as np
 from . import tensor_nn as tn
 from .coding_tree import CodingTree
 from .datagen import check_ids, count_matrix, label_matrix
+from .graph import prefix_errors
 from .metrics import macro_f1, micro_f1
 
 ETA_MODES = ("sum", "mean")
@@ -70,7 +71,7 @@ class HillConfig:
         """Config from a JSON object of field values; `overrides` win.
         Raises ValueError naming `path` on malformed JSON, a non-object,
         an unknown key or an invalid value."""
-        try:
+        with prefix_errors(path):
             with open(path, encoding="utf-8") as fh:
                 blob = json.load(fh)
             if not isinstance(blob, dict):
@@ -79,8 +80,6 @@ class HillConfig:
             if unknown:
                 raise ValueError(f"unknown config key(s) {', '.join(unknown)}")
             return cls(**{**blob, **overrides})
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
 
     def to_json_file(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -147,6 +146,20 @@ class LabelProjector:
         return [self.scale] + self.lin.params()
 
 
+def _mlp_forward(mlp, x):
+    """lin1 -> relu -> lin2 on the rows of x, for any object with two
+    LinearLayers `lin1` and `lin2`; returns (output, ctx)."""
+    z1, c1 = mlp.lin1.forward(x)
+    z2, c2 = mlp.lin2.forward(tn.relu(z1))
+    return z2, (z1, c1, c2)
+
+
+def _mlp_backward(mlp, grad, ctx):
+    z1, c1, c2 = ctx
+    gz1 = tn.relu_backward(mlp.lin2.backward(grad, c2), z1)
+    return mlp.lin1.backward(gz1, c1)
+
+
 class LevelFFN:
     """Two-layer perceptron applied node-wise within one tree level."""
 
@@ -155,21 +168,12 @@ class LevelFFN:
         self.lin2 = tn.LinearLayer(d_v, d_v, rng, name=f"{name}.lin2")
 
     def forward_batch(self, a):
-        b, n, d = a.shape
-        flat = a.reshape(b * n, d)
-        z1, c1 = self.lin1.forward(flat)
-        r = tn.relu(z1)
-        z2, c2 = self.lin2.forward(r)
-        return z2.reshape(b, n, d), (a.shape, z1, c1, c2)
+        f, ctx = _mlp_forward(self, a.reshape(-1, a.shape[2]))
+        return f.reshape(a.shape), (a.shape, ctx)
 
     def backward_batch(self, grad, ctx):
-        shape, z1, c1, c2 = ctx
-        b, n, d = shape
-        g = grad.reshape(b * n, d)
-        gr = self.lin2.backward(g, c2)
-        gz1 = tn.relu_backward(gr, z1)
-        ga = self.lin1.backward(gz1, c1)
-        return ga.reshape(b, n, d)
+        shape, mctx = ctx
+        return _mlp_backward(self, grad.reshape(-1, shape[2]), mctx).reshape(shape)
 
     def params(self):
         return self.lin1.params() + self.lin2.params()
@@ -184,30 +188,20 @@ class StructureEncoder:
     def __init__(self, tree: CodingTree, d_v, eta, rng):
         if eta not in ETA_MODES:
             raise ValueError(f"eta must be one of {ETA_MODES}")
-        self.tree = tree
         self.k = tree.height
-        self.d_v = d_v
         self.eta = eta
-        self.num_leaves = len(tree.leaf_ids())
-        # leaves in graph-vertex order; aggregation matrices per level
-        layers = []
-        leaf_layer = sorted(tree.leaf_ids(), key=lambda i: min(tree.nodes[i].subset))
-        layers.append(leaf_layer)
-        for k in range(1, self.k + 1):
-            layers.append(tree.layer(k))
+        # agg[k-1][i, j] = 1 when node j of level k-1 is a child of node i
+        # of level k; level 0 is the leaves in graph-vertex order
+        below = sorted(tree.leaf_ids(), key=lambda i: min(tree.nodes[i].subset))
         self.agg = []
         for k in range(1, self.k + 1):
-            below_index = {nid: j for j, nid in enumerate(layers[k - 1])}
-            s = np.zeros((len(layers[k]), len(layers[k - 1])))
-            for i, nid in enumerate(layers[k]):
-                for c in tree.nodes[nid].children:
-                    s[i, below_index[c]] = 1.0
+            level = tree.layer(k)
+            row = {nid: i for i, nid in enumerate(level)}
+            s = np.zeros((len(level), len(below)))
+            s[[row[tree.nodes[c].parent] for c in below], np.arange(len(below))] = 1.0
             self.agg.append(s)
+            below = level
         self.level_ffns = [LevelFFN(d_v, rng, f"structure.level{k}") for k in range(1, self.k + 1)]
-
-    @property
-    def out_dim(self):
-        return self.k * self.d_v
 
     def forward_batch(self, a1):
         x = a1
@@ -249,16 +243,10 @@ class MlpProjector:
         self.lin2 = tn.LinearLayer(out_dim, out_dim, rng, bias=False, name=f"{name}.lin2")
 
     def forward(self, x):
-        z1, c1 = self.lin1.forward(x)
-        r = tn.relu(z1)
-        z2, c2 = self.lin2.forward(r)
-        return z2, (z1, c1, c2)
+        return _mlp_forward(self, x)
 
     def backward(self, grad, ctx):
-        z1, c1, c2 = ctx
-        gr = self.lin2.backward(grad, c2)
-        gz1 = tn.relu_backward(gr, z1)
-        return self.lin1.backward(gz1, c1)
+        return _mlp_backward(self, grad, ctx)
 
     def params(self):
         return self.lin1.params() + self.lin2.params()
@@ -376,26 +364,22 @@ def total_loss(l_c, l_clr, lambda_clr):
 
 
 class HillModel:
-    def __init__(self, config: HillConfig, vocab_size, num_labels, tree: CodingTree, rng=None):
+    def __init__(self, config: HillConfig, vocab_size, num_labels, tree: CodingTree):
         if tree.height != config.K:
             raise ValueError(f"tree height {tree.height} != configured K {config.K}")
-        if rng is None:
-            rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(config.seed)
         self.config = config
         self.num_labels = num_labels
-        self.d_t = config.K * config.d_V
+        d_t = config.K * config.d_V
         self.encoder = BagOfWordsEncoder(vocab_size, config.d_B, rng)
         self.label_proj = LabelProjector(num_labels, config.d_B, config.d_V, rng)
         self.structure = StructureEncoder(tree, config.d_V, config.eta, rng)
-        if self.structure.num_leaves != num_labels:
-            raise ValueError(
-                f"coding tree has {self.structure.num_leaves} leaves but |Y| is {num_labels}"
-            )
+        leaves = self.structure.agg[0].shape[1]
+        if leaves != num_labels:
+            raise ValueError(f"coding tree has {leaves} leaves but |Y| is {num_labels}")
         self.proj_text = MlpProjector(config.d_B, config.d_B, rng, "proj_text")
-        self.proj_tree = MlpProjector(self.d_t, config.d_B, rng, "proj_tree")
-        self.classifier = tn.LinearLayer(
-            config.d_B + self.d_t, num_labels, rng, name="classifier"
-        )
+        self.proj_tree = MlpProjector(d_t, config.d_B, rng, "proj_tree")
+        self.classifier = tn.LinearLayer(config.d_B + d_t, num_labels, rng, name="classifier")
 
     # parameter groups
 
@@ -430,8 +414,6 @@ class HillModel:
 
     def forward_batch(self, counts, y01):
         lam = self.config.lambda_clr
-        if lam > 0 and counts.shape[0] < 2:
-            raise ValueError("contrastive training needs batch size >= 2")
         h, ht, p, ctx_enc, ctx_lp, ctx_s, ctx_cls = self._forward(counts)
         l_c, ctx_bce = bce_loss(p, y01)
         if lam > 0:

@@ -29,6 +29,9 @@ import json
 
 import numpy as np
 
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 def check_finite(x, name: str):
     if not np.isfinite(x).all():
@@ -131,10 +134,9 @@ class Adam:
     ``value -= lr m_hat / (sqrt(v_hat) + eps)``.
     """
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         size = sum(p.value.size for p in self.params)
         self.value = np.empty(size)
@@ -158,7 +160,7 @@ class Adam:
             bad = next(p for p in self.params if not np.isfinite(p.grad).all())
             raise ValueError(f"non-finite gradient for {bad.name}")
         self.t += 1
-        b1, b2, m, v, a, b = self.beta1, self.beta2, self.m, self.v, self._a, self._b
+        b1, b2, m, v, a, b = ADAM_BETA1, ADAM_BETA2, self.m, self.v, self._a, self._b
         np.multiply(m, b1, out=m)
         np.multiply(g, 1 - b1, out=a)
         np.add(m, a, out=m)
@@ -170,7 +172,7 @@ class Adam:
         np.multiply(a, self.lr, out=a)
         np.divide(v, 1 - b2**self.t, out=b)  # v_hat
         np.sqrt(b, out=b)
-        np.add(b, self.eps, out=b)
+        np.add(b, ADAM_EPS, out=b)
         np.divide(a, b, out=a)
         np.subtract(self.value, a, out=self.value)
 

@@ -329,7 +329,7 @@ def test_wide_taxonomy_trains_one_epoch(tmp_path, capsys):
     assert h.num_labels == 1365
     docs = [load_dataset(data / name, 256, h.num_labels) for name in ("train.jsonl", "dev.jsonl")]
     model, report = experiments.run_training(HillConfig(K=3, epochs=1), h, *docs, 256)
-    assert model.structure.tree.height == 3
+    assert model.structure.k == 3
     assert report == rows
 
 
@@ -447,3 +447,96 @@ def test_entropy_rejects_malformed_tree_json(tmp_path, cycle4_file, capsys, obj)
     assert captured.out == ""
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+_NOT_UTF8 = b"\xff\xfe not utf-8\n"
+
+
+@pytest.mark.parametrize(
+    "name,content,why",
+    [
+        ("train.jsonl", b'{"tokens": [1], "labels": [1]}\n{"tokens": [1,\n', "line 2: Expecting value"),
+        ("train.jsonl", _NOT_UTF8, "'utf-8' codec can't decode"),
+        ("taxonomy.txt", _NOT_UTF8, "'utf-8' codec can't decode"),
+        ("meta.json", _NOT_UTF8, "'utf-8' codec can't decode"),
+    ],
+    ids=["dataset-truncated-line", "dataset-not-utf8", "taxonomy-not-utf8", "meta-not-utf8"],
+)
+def test_train_input_errors_name_the_file(tmp_path, capsys, tiny_data, name, content, why):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_data, data)
+    (data / name).write_bytes(content)
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {data / name}: {why}")
+
+
+@pytest.mark.parametrize(
+    "command,content,why",
+    [
+        ("build-tree", b"0 1\n1 x\n", "line 2: non-integer vertex id in '1 x'"),
+        ("build-tree", _NOT_UTF8, "'utf-8' codec can't decode"),
+        ("entropy", b'{"nodes": 3}', "tree JSON must be an object with a 'nodes' list"),
+        ("entropy", _NOT_UTF8, "'utf-8' codec can't decode"),
+        ("eval", b'{"labels": [1]}\n{"labels": [\n', "line 2: Expecting value"),
+    ],
+    ids=["graph-bad-line", "graph-not-utf8", "tree-bad", "tree-not-utf8", "pred-truncated-line"],
+)
+def test_input_errors_name_the_file(tmp_path, capsys, cycle4_file, command, content, why):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    argv = {
+        "build-tree": ["build-tree", "--graph", str(bad), "--height", "2"],
+        "entropy": ["entropy", "--graph", str(cycle4_file), "--tree", str(bad)],
+        "eval": ["eval", "--pred", str(bad), "--gold", str(bad)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: {why}")
+
+
+_GRAPH_BREAKS = ("fields", "token", "negative", "self-loop", "isolated", "empty", "utf-8")
+
+
+@st.composite
+def _broken_graph_file(draw):
+    """Bytes of an edge list over ids 0..99 with one change that always
+    breaks it."""
+    edges = draw(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=8))
+    lines = [f"{u} {v}" for u, v in edges]
+    kind = draw(st.sampled_from(_GRAPH_BREAKS))
+    at = draw(st.integers(0, len(lines)))
+    if kind == "fields":
+        fields = draw(st.lists(st.integers(0, 99), min_size=1, max_size=4).filter(lambda f: len(f) != 2))
+        lines.insert(at, " ".join(map(str, fields)))
+    elif kind == "token":
+        lines.insert(at, f"{draw(st.integers(0, 99))} {draw(st.sampled_from(['x', '1.5', '0x1', '']))}x")
+    elif kind == "negative":
+        lines.insert(at, f"{draw(st.integers(0, 99))} -{draw(st.integers(1, 99))}")
+    elif kind == "self-loop":
+        v = draw(st.integers(0, 99))
+        lines.insert(at, f"{v} {v}")
+    elif kind == "isolated":
+        v = draw(st.integers(0, 97))
+        lines = [f"{a} {b}" for a, b in edges if v not in (a, b)] + ["98 99"]
+    elif kind == "empty":
+        lines = draw(st.lists(st.sampled_from(["", "# comment", "   "]), max_size=3))
+    text = "\n".join(lines).encode("utf-8")
+    return b"\xff" + text if kind == "utf-8" else text
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(content=_broken_graph_file())
+def test_build_tree_rejects_malformed_graph_files(tmp_path, capsys, content):
+    graph = tmp_path / "graph.txt"
+    graph.write_bytes(content)
+    capsys.readouterr()
+    assert main(["build-tree", "--graph", str(graph), "--height", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {graph}: ")

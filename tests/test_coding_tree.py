@@ -316,3 +316,31 @@ def test_random_surgeries_keep_tree_coherent(seed, data):
         tree.validate(require_uniform_depth=False)
         assert tree.depths() == {nid: _hops_to_root(tree, nid) for nid in tree.nodes}
         assert tree.structural_entropy() == pytest.approx(tree.entropy_from_scratch(), abs=1e-9)
+
+
+def test_merge_rejects_a_sub_tree_over_another_subset(bridge_triangles):
+    tree = initial_tree(bridge_triangles)
+    pair = tree.compress(0, 1)
+    sub = initial_tree(bridge_triangles)
+    sub.compress(0, 1)
+    sub.align(2)
+    with pytest.raises(ValueError, match="sub-tree root marks a different subset"):
+        tree.merge(pair, sub)
+
+
+def test_merge_rejects_a_sub_tree_deeper_than_two(bridge_triangles):
+    tree = initial_tree(bridge_triangles)
+    sub = initial_tree(bridge_triangles)
+    sub.compress(sub.compress(0, 1), 2)
+    sub.align()
+    assert sub.height == 3
+    with pytest.raises(ValueError, match="sub-tree is not height 2"):
+        tree.merge(tree.root_id, sub)
+
+
+def test_from_json_rejects_extra_leaves_and_rootless_trees(cycle4):
+    five = initial_tree(build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]))
+    with pytest.raises(ValueError, match="more leaves than graph vertices"):
+        CodingTree.from_json_obj(cycle4, five.to_json_obj())
+    with pytest.raises(ValueError, match="expected exactly one root, found 0"):
+        CodingTree.from_json_obj(cycle4, {"nodes": _with(_cycle4_nodes(), 4, parent=0)})

@@ -5,6 +5,7 @@ from hill import datagen
 from hill.datagen import (
     Example,
     LabelHierarchy,
+    check_ids,
     count_matrix,
     gen_corpus,
     gen_hierarchy,
@@ -76,6 +77,9 @@ def test_load_taxonomy_errors(tmp_path):
     p.write_text("root\ta\nother\ta\n", encoding="utf-8")
     with pytest.raises(ValueError, match="two parents"):
         load_taxonomy(p)
+    p.write_text("root\ta\nlonely\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="bad.txt: line 2: expected parent and children"):
+        load_taxonomy(p)
 
 
 def test_label_token_deterministic_and_in_range():
@@ -106,12 +110,6 @@ def test_gen_corpus_deterministic():
     c = gen_corpus(h, 20, 128, seed=6)
     assert [(x.tokens, x.labels) for x in a] == [(x.tokens, x.labels) for x in b]
     assert [(x.tokens, x.labels) for x in a] != [(x.tokens, x.labels) for x in c]
-
-
-def test_gen_corpus_max_tokens():
-    h = gen_hierarchy(2, 2)
-    docs = gen_corpus(h, 30, 128, seed=1, max_tokens=10)
-    assert all(len(ex.tokens) <= 10 for ex in docs)
 
 
 def test_dataset_round_trip(tmp_path):
@@ -145,11 +143,25 @@ def test_count_and_label_matrices():
         (count_matrix, [Example([4], [1])], "doc 0: token id 4 "),
         (label_matrix, [Example([], []), Example([], [1]), Example([], [0, -2])], "doc 2: label id -2 "),
         (label_matrix, [Example([], [4])], "doc 0: label id 4 "),
+        (count_matrix, [Example([1.5, 2], [])], "doc 0: token id 1.5 is not an integer"),
+        (count_matrix, [Example([0], []), Example(["3"], [])], "doc 1: token id '3' is not an integer"),
+        (count_matrix, [Example([True], [])], "doc 0: token id True is not an integer"),
+        (count_matrix, [Example([1, [2]], [])], r"doc 0: token id \[2\] is not an integer"),
+        (count_matrix, [Example([[1], [2]], [])], r"doc 0: token id \[1\] is not an integer"),
+        (label_matrix, [Example([], [1]), Example([], [0.9])], "doc 1: label id 0.9 is not an integer"),
     ],
 )
 def test_count_and_label_matrices_reject_bad_ids(build, docs, message):
     with pytest.raises(ValueError, match=message):
         build(docs, 4)
+
+
+def test_count_and_label_matrices_accept_empty_id_lists():
+    # numpy reads an empty list as float64; it must still index as no ids
+    docs = [Example([], []), Example([], [])]
+    assert count_matrix(docs, 3).tolist() == [[0.0] * 3] * 2
+    assert label_matrix(docs, 2).tolist() == [[0.0] * 2] * 2
+    check_ids(docs, 3, 2)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,18 @@ def test_build_graph_rejects_isolated_vertex():
         build_graph(3, [(0, 1)])
 
 
+def test_isolated_vertex_in_a_sparse_id_range_allocates_nothing_per_vertex():
+    # a graph line such as "1 1000000000" must not allocate one set per vertex id
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^vertex 2 is isolated \(degree 0\)$"):
+            build_graph(10**6, [(0, 1)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_build_graph_rejects_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         build_graph(2, [(0, 5)])
@@ -52,6 +66,11 @@ def test_load_graph_reports_line_numbers():
         load_graph("0 1\n1 x\n")
     with pytest.raises(ValueError, match="line 3"):
         load_graph("0 1\n1 2\n4\n")
+
+
+def test_load_graph_rejects_negative_ids():
+    with pytest.raises(ValueError, match="line 2: negative vertex id in '-1 2'"):
+        load_graph("0 1\n-1 2\n")
 
 
 def test_load_graph_rejects_empty():

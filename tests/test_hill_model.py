@@ -129,6 +129,14 @@ def test_nt_xent_input_checks():
         nt_xent(np.ones((2, 4)), np.ones((2, 3)), tau=1.0)
     with pytest.raises(ValueError, match="zero-norm"):
         nt_xent(np.vstack([np.zeros(4), np.ones(4)]), np.ones((2, 4)), tau=1.0)
+    with pytest.raises(ValueError, match="unknown nt_xent form 'cosine'"):
+        nt_xent(np.ones((2, 4)), np.ones((2, 4)), tau=1.0, form="cosine")
+
+
+def test_one_doc_contrastive_batch_is_refused_by_nt_xent():
+    _, _, model, _, counts, y = small_setup(lambda_clr=0.1)
+    with pytest.raises(ValueError, match="nt_xent needs batch size >= 2"):
+        model.forward_batch(counts[:1], y[:1])
 
 
 def test_total_loss():
@@ -171,13 +179,18 @@ def test_structure_encoder_shapes_and_wrapper():
     tree = build_coding_tree(hierarchy_to_graph(h), 2)
     rng = np.random.default_rng(5)
     enc = StructureEncoder(tree, d_v=3, eta="sum", rng=rng)
-    assert enc.out_dim == 6
     x0 = rng.normal(size=(2, h.num_labels, 3))
     a1 = np.matmul(enc.agg[0], x0)
     assert a1.shape == (2, len(tree.layer(1)), 3)
     ht, _ = enc.forward_batch(a1)
     assert ht.shape == (2, 6)
     assert np.allclose(enc.forward_batch(a1[:1])[0][0], ht[0])
+
+
+def test_structure_encoder_rejects_unknown_eta():
+    tree = build_coding_tree(hierarchy_to_graph(gen_hierarchy(2, 2, 0)), 2)
+    with pytest.raises(ValueError, match="eta must be one of"):
+        StructureEncoder(tree, d_v=3, eta="max", rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("eta", ["sum", "mean"])
@@ -188,7 +201,7 @@ def test_structure_encoder_gradients(eta):
     enc = StructureEncoder(tree, d_v=3, eta=eta, rng=rng)
     s1 = enc.agg[0]
     x0 = rng.normal(size=(2, h.num_labels, 3))
-    grad = rng.normal(size=(2, enc.out_dim))
+    grad = rng.normal(size=(2, enc.k * 3))
     _, ctx = enc.forward_batch(np.matmul(s1, x0))
     gx0 = np.matmul(s1.T, enc.backward(grad, ctx))
     numeric = tn.central_difference(
@@ -253,7 +266,7 @@ def test_structure_encoder_matches_einsum_reference(eta, k):
     rng = np.random.default_rng(9)
     enc = StructureEncoder(tree, d_v=4, eta=eta, rng=rng)
     x0 = rng.normal(size=(6, h.num_labels, 4))
-    grad = rng.normal(size=(6, enc.out_dim))
+    grad = rng.normal(size=(6, enc.k * 4))
     ht, ctx = enc.forward_batch(np.matmul(enc.agg[0], x0))
     ga1 = enc.backward(grad, ctx)
     grads = [p.grad.copy() for p in enc.params()]

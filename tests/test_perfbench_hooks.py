@@ -50,3 +50,22 @@ def test_tracer_records_label_projector_and_structure_spans(monkeypatch):
     for part in ("label_proj", "structure"):
         for d in ("fwd", "bwd"):
             assert f"hill_model.{part}.{d}" in recorded
+
+
+def test_structure_ffns_are_not_timed_as_contrastive_projectors(monkeypatch):
+    # the level FFNs share the projectors' perceptron code, not their
+    # patched methods; with lambda_clr=0 no contrastive span may appear
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    h = gen_hierarchy(2, 2, 0)
+    tree = build_coding_tree(hierarchy_to_graph(h), 2)
+    model = HillModel(HillConfig(d_B=8, d_V=4, lambda_clr=0.0), 32, h.num_labels, tree)
+    docs = gen_corpus(h, 4, 32, seed=0)
+    counts, y = count_matrix(docs, 32), label_matrix(docs, h.num_labels)
+    with spans.Tracer(hill) as tracer:
+        _, _, ctx = model.forward_batch(counts, y)
+        model.backward(ctx)
+    recorded = set(tracer.totals())
+    assert {"hill_model.structure.fwd", "hill_model.structure.bwd"} <= recorded
+    assert not [name for name in recorded if name.startswith("hill_model.contrastive.")]

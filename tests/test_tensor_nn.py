@@ -53,6 +53,11 @@ def test_non_finite_rejected():
         tn.sigmoid(np.array([[np.inf]]))
 
 
+def test_as_matrix_requires_two_dimensions():
+    with pytest.raises(ValueError, match=r"probe must be 2-D, got shape \(3,\)"):
+        tn.as_matrix(np.ones(3), "probe")
+
+
 def test_linear_layer_gradients():
     rng = np.random.default_rng(6)
     layer = tn.LinearLayer(4, 3, rng, name="t")
