@@ -22,6 +22,7 @@ from .graph import Graph, build_graph, prefix_errors
 
 TOKENS_PER_LABEL = 4
 _SIGNAL_PROB = 0.85
+_ID_CONTAINERS = (list, tuple)
 
 
 @dataclass
@@ -217,9 +218,15 @@ def _checked_ids(ids, limit, what):
 def _ids_by_doc(id_lists, limit, what):
     """Flatten per-document id lists into (doc index, id) arrays, raising
     ValueError naming the document and the id on the first id that is not
-    an integer or lies outside [0, limit). Python ints become one int64
-    array in one pass; only other input is walked id by id."""
-    rows = np.repeat(np.arange(len(id_lists)), [len(ids) for ids in id_lists])
+    an integer or lies outside [0, limit), or on the first document whose
+    ids are not a list or tuple (a string or an int would otherwise be
+    read as ids or fail inside numpy). Python ints become one int64 array
+    in one pass; only other input is walked id by id."""
+    if not set(map(type, id_lists)).issubset(_ID_CONTAINERS):  # subclasses take the walk
+        for doc, ids in enumerate(id_lists):
+            if not isinstance(ids, _ID_CONTAINERS):
+                raise ValueError(f"doc {doc}: {what} ids {ids!r} is not a list")
+    rows = np.repeat(np.arange(len(id_lists)), list(map(len, id_lists)))
     flat = list(chain.from_iterable(id_lists))
     try:
         ids = np.asarray(flat)
@@ -245,10 +252,16 @@ def check_ids(examples, vocab_size, num_labels):
 
 
 def count_matrix(examples, vocab_size) -> np.ndarray:
+    """(docs, vocab_size) float64 token counts. One weighted bincount over
+    the flat cell index doc * vocab_size + id: each cell is a sum of 1.0s,
+    exact below 2**53 in any order, so it equals the np.add.at scatter
+    into zeros it replaced, bit for bit."""
     rows, tokens = _ids_by_doc([ex.tokens for ex in examples], vocab_size, "token")
-    counts = np.zeros((len(examples), vocab_size))
-    np.add.at(counts, (rows, tokens), 1.0)
-    return counts
+    n = len(examples)
+    counts = np.bincount(rows * vocab_size + tokens, weights=np.ones(len(tokens)),
+                         minlength=n * vocab_size)
+    # with no ids at all, bincount returns int64 even when given weights
+    return counts.reshape(n, vocab_size).astype(np.float64, copy=False)
 
 
 def label_matrix(examples, num_labels) -> np.ndarray:

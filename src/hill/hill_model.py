@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
+from itertools import islice
 
 import numpy as np
 
@@ -131,7 +132,10 @@ class LabelProjector:
         z = tn.matmul(h, self.lin.weight.value)  # (B, d_V), bias applied after the outer
         coef = s1 @ self.scale.value  # (n1, 1)
         count = s1.sum(axis=1, keepdims=True)  # (n1, 1): leaves under each level-1 node
-        a1 = coef * z[:, None, :] + count * self.lin.bias.value
+        # one outer product, then the (n1, d_V) bias term added in place:
+        # the same two roundings per entry as coef * z + count * bias
+        a1 = np.einsum("bj,i->bij", z, coef[:, 0])
+        a1 += count * self.lin.bias.value
         return a1, (h, z, s1, coef, count)
 
     def backward(self, grad_a1, ctx):
@@ -183,7 +187,15 @@ class StructureEncoder:
     """Bottom-up child-sum propagation over the coding tree with one FFN
     per level and per-level readout concatenation; output dim K * d_V.
     Takes a1 = S1 x0 (S1 = agg[0]) from LabelProjector, starts at the
-    level-1 FFN and returns the gradient wrt a1."""
+    level-1 FFN and returns the gradient wrt a1.
+
+    The tree sets only the shape of this branch: K and the node count of
+    each level. Which leaf sits under which level-1 node does not matter.
+    Label identity enters only through the per-label LabelProjector.scale,
+    which level 1 sees as the sum S1 scale; h_T is one vector per
+    document and the classifier has its own weights per label. So
+    permuting S1's columns, with scale permuted to match, gives the same
+    function, and Adam, being elementwise, takes the same steps."""
 
     def __init__(self, tree: CodingTree, d_v, eta, rng):
         if eta not in ETA_MODES:
@@ -348,9 +360,13 @@ def bce_loss(p, y):
 
 
 def bce_backward(ctx):
+    """Gradient of the mean BCE wrt p; zero where the clamp bound p. For
+    finite p, clip moves p exactly when p < BCE_CLAMP or p > 1 - BCE_CLAMP
+    and returns it unchanged otherwise, so pc != p selects the same
+    entries as that two-sided test, in one comparison."""
     p, pc, y = ctx
     grad = (-(y / pc) + (1.0 - y) / (1.0 - pc)) / p.size
-    grad[(p < BCE_CLAMP) | (p > 1.0 - BCE_CLAMP)] = 0.0
+    grad[pc != p] = 0.0
     return grad
 
 
@@ -446,7 +462,13 @@ class HillModel:
 
     def predict_labels(self, counts):
         probs = self.predict_probs(counts)
-        return [set(np.nonzero(row > 0.5)[0].tolist()) for row in probs]
+        # one nonzero over the flat mask (np.nonzero on a 2-D mask is many
+        # times slower); flat indices come in row order, so each row's
+        # labels are the next bincount[row] columns
+        rows, cols = np.divmod(np.flatnonzero(probs > 0.5), probs.shape[1])
+        per_row = np.bincount(rows, minlength=len(probs)).tolist()
+        col_iter = iter(cols.tolist())
+        return [set(islice(col_iter, n)) for n in per_row]
 
 
 def refuse_empty_docs(examples, config: HillConfig):

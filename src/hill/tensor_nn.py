@@ -14,6 +14,14 @@ their own named checks: the token counts (by the encoder's ``matmul``,
 under that name), the losses' inputs, each ``Parameter`` value on
 construction and the gradients at ``Adam.step``.
 
+The elementwise kernels at the model's edges (``sigmoid`` here, the BCE
+clamp, the label projector's outer product, the label sets and the
+token counts) are single whole-array numpy expressions, not boolean-mask
+gathers and scatters or per-row loops. Each one evaluates the same IEEE
+operation on the same operands for every entry as the masked form it
+replaced, so it gives the same bits; the tests keep those masked forms
+as references and compare with ``np.array_equal``.
+
 An Adam optimizer owns the storage of its parameter group: it keeps all
 values and all grads in one flat buffer each and rebinds every
 Parameter's ``value`` and ``grad`` to views of those buffers, so a step
@@ -69,12 +77,15 @@ def relu_backward(grad, x):
 
 
 def sigmoid(x):
+    """Overflow-free logistic: 1 / (1 + e^-x) for x >= 0 and
+    e^x / (1 + e^x) below 0, with e = exp(-|x|) serving both branches.
+    exp(-|x|) is exp(-x) where x >= 0 and exp(x) below, and 1.0 / d is
+    where(x >= 0, 1.0, e) / d where x >= 0, so every entry is the same
+    IEEE expression the two-branch form computes, and gives its bits."""
     x = check_finite(np.asarray(x, dtype=np.float64), "sigmoid input")
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    out /= 1.0 + e
     return out
 
 

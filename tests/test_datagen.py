@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,61 @@ def test_count_and_label_matrices_accept_empty_id_lists():
     assert count_matrix(docs, 3).tolist() == [[0.0] * 3] * 2
     assert label_matrix(docs, 2).tolist() == [[0.0] * 2] * 2
     check_ids(docs, 3, 2)
+
+
+@pytest.mark.parametrize("ids", [5, None, "12"])
+def test_ids_that_are_not_a_list_are_refused(ids):
+    # a string would otherwise be read as one id per character
+    bad_tokens = [Example([1], [1]), Example(ids, [1])]
+    bad_labels = [Example([1], [1]), Example([1], ids)]
+    token_msg = f"^doc 1: token ids {re.escape(repr(ids))} is not a list$"
+    label_msg = f"^doc 1: label ids {re.escape(repr(ids))} is not a list$"
+    with pytest.raises(ValueError, match=token_msg):
+        count_matrix(bad_tokens, 4)
+    with pytest.raises(ValueError, match=token_msg):
+        check_ids(bad_tokens, 4, 4)
+    with pytest.raises(ValueError, match=label_msg):
+        label_matrix(bad_labels, 4)
+    with pytest.raises(ValueError, match=label_msg):
+        check_ids(bad_labels, 4, 4)
+
+
+def test_tuples_and_list_subclasses_hold_ids():
+    class Ids(list):
+        pass
+
+    docs = [Example((0, 2, 2), (1,)), Example(Ids([1]), Ids([0, 1]))]
+    assert count_matrix(docs, 3).tolist() == [[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]]
+    assert label_matrix(docs, 2).tolist() == [[0.0, 1.0], [1.0, 1.0]]
+
+
+def add_at_counts(examples, vocab_size):
+    """count_matrix as the np.add.at scatter into zeros that it replaced,
+    kept as its bit-for-bit reference."""
+    rows = np.repeat(np.arange(len(examples)), [len(ex.tokens) for ex in examples])
+    tokens = np.array([t for ex in examples for t in ex.tokens], dtype=np.int64)
+    counts = np.zeros((len(examples), vocab_size))
+    np.add.at(counts, (rows, tokens), 1.0)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "docs",
+    [
+        [Example([3, 3, 3, 0, 3], []), Example([1, 1], [])],  # repeated ids
+        [Example([], []), Example([2, 0, 2], []), Example([], [])],  # empty documents
+        [Example([], []), Example([], [])],  # no ids at all
+        [],  # no documents
+        gen_corpus(gen_hierarchy(3, 4), 256, 2048, seed=5),
+    ],
+)
+def test_count_matrix_matches_add_at_scatter(docs):
+    vocab = 2048 if len(docs) > 3 else 4
+    got, want = count_matrix(docs, vocab), add_at_counts(docs, vocab)
+    assert got.shape == want.shape == (len(docs), vocab)
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,9 @@ import pytest
 from hill import tensor_nn as tn
 from hill.datagen import Example, count_matrix, gen_corpus, gen_hierarchy, hierarchy_to_graph, label_matrix
 from hill.entropy_min import build_coding_tree
+from hill.experiments import default_dataset
 from hill.hill_model import (
+    BCE_CLAMP,
     HillConfig,
     HillModel,
     LabelProjector,
@@ -83,6 +85,31 @@ def test_bce_clamps_extremes():
     assert np.isfinite(loss)
     grad = bce_backward(ctx)
     assert np.all(grad == 0.0)  # clamped entries carry no gradient
+
+
+def two_sided_bce_backward(ctx):
+    """bce_backward with the clamp test it replaced, (p < C) | (p > 1 - C),
+    kept as its bit-for-bit reference."""
+    p, pc, y = ctx
+    grad = (-(y / pc) + (1.0 - y) / (1.0 - pc)) / p.size
+    grad[(p < BCE_CLAMP) | (p > 1.0 - BCE_CLAMP)] = 0.0
+    return grad
+
+
+def test_bce_backward_matches_two_sided_clamp_test():
+    lo, hi = BCE_CLAMP, 1.0 - BCE_CLAMP
+    # each bound exactly, one ulp inside and one ulp beyond, and the ends
+    edges = [lo, np.nextafter(lo, 1.0), np.nextafter(lo, 0.0), hi, np.nextafter(hi, 0.0),
+             np.nextafter(hi, 1.0), 0.0, 1.0]
+    rng = np.random.default_rng(3)
+    p = np.concatenate([edges, rng.random(32)]).reshape(4, 10)
+    for y in (np.zeros_like(p), np.ones_like(p), (rng.random(p.shape) < 0.5).astype(float)):
+        _, ctx = bce_loss(p, y)
+        got, want = bce_backward(ctx), two_sided_bce_backward(ctx)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+        assert not got[0, [2, 5, 6, 7]].any()  # clamped: no gradient
+        assert got[0, [0, 1, 3, 4]].all()  # on or inside the bounds: gradient
 
 
 def test_bce_gradient_matches_fd():
@@ -208,6 +235,29 @@ def test_structure_encoder_gradients(eta):
         lambda v: float(np.sum(enc.forward_batch(np.matmul(s1, v))[0] * grad)), x0.copy()
     )
     assert tn.max_rel_error(gx0, numeric) < 1e-6
+
+
+def broadcast_a1(proj, h, s1):
+    """forward_batch's a1 as the two broadcasts it replaced (inner loops
+    d_V wide), kept as its bit-for-bit reference."""
+    z = h @ proj.lin.weight.value
+    coef = s1 @ proj.scale.value
+    count = s1.sum(axis=1, keepdims=True)
+    return coef * z[:, None, :] + count * proj.lin.bias.value
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("batch", [1, 32, 256])
+def test_label_projector_matches_broadcast_form_bit_for_bit(batch, k):
+    rng = np.random.default_rng(batch + k)
+    s1 = level1_agg(3, 4, k)  # 85 leaves
+    proj = LabelProjector(85, 8, 16, rng)
+    proj.lin.bias.value[...] = rng.normal(size=(1, 16))
+    h = rng.normal(size=(batch, 8))
+    got, want = proj.forward_batch(h, s1)[0], broadcast_a1(proj, h, s1)
+    assert got.shape == want.shape == (batch, s1.shape[0], 16)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
 
 
 def einsum_label_projector(proj, h, s1, grad_a1):
@@ -342,6 +392,26 @@ def test_predict_labels_thresholds_probs():
     labels = model.predict_labels(counts[:3])
     for row, lab in zip(probs, labels):
         assert lab == set(np.nonzero(row > 0.5)[0].tolist())
+
+
+def per_row_label_sets(probs):
+    """predict_labels' per-row form, kept as its reference."""
+    return [set(np.nonzero(row > 0.5)[0].tolist()) for row in probs]
+
+
+def test_predict_labels_matches_per_row_sets(monkeypatch):
+    _, _, model, _, counts, _ = small_setup()
+    rng = np.random.default_rng(10)
+    probs = rng.random((6, model.num_labels))
+    probs[1] = 0.25  # no label
+    probs[2, 3] = 0.5  # exactly the threshold, which is not above it
+    probs[4] = 0.75  # every label
+    for rows in (probs[:0], probs[:1], probs):
+        monkeypatch.setattr(model, "predict_probs", lambda c, rows=rows: rows)
+        got = model.predict_labels(counts[: len(rows)])
+        assert got == per_row_label_sets(rows)
+        assert all(type(i) is int for labels in got for i in labels)
+    assert got[1] == set() and 3 not in got[2] and got[4] == set(range(model.num_labels))
 
 
 @pytest.mark.parametrize("eta,k", [("sum", 2), ("mean", 3)])

@@ -46,6 +46,33 @@ def test_sigmoid_stable_and_backward():
     fd_check(lambda v: float(np.sum(tn.sigmoid(v) * grad)), x, tn.sigmoid_backward(grad, tn.sigmoid(x)))
 
 
+def masked_sigmoid(x):
+    """The two-branch sigmoid with boolean-mask gathers and scatters that
+    tn.sigmoid replaced, kept as its bit-for-bit reference."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+# signed zeros, subnormal-scale inputs, the edge of 1 - sigmoid(x) == 0,
+# the largest finite exp argument and where exp(-|x|) underflows to 0
+SIGMOID_GRID = [0.0, -0.0, 1e-300, -1e-300, 36.7, -36.7, 709.0, -709.0, 745.0, -745.0]
+
+
+def test_sigmoid_matches_masked_form_bit_for_bit():
+    rng = np.random.default_rng(7)
+    x = np.concatenate([SIGMOID_GRID, rng.normal(0.0, 40.0, 990)])
+    for arr in [x, x.reshape(20, 50)] + [np.array(v) for v in SIGMOID_GRID]:
+        got, want = tn.sigmoid(arr), masked_sigmoid(arr)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_non_finite_rejected():
     with pytest.raises(ValueError, match="non-finite"):
         tn.as_matrix(np.array([[np.nan, 1.0]]))
