@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Collate the perfbench records of a parent checkout and a change
+checkout into one BENCH_<n>.json.
+
+Each checkout has run `perfbench/run.py` on the same workloads and seeds,
+which leaves one `.perfbench/<workload>-seed<n>-trace<t>.json` per run
+there. For every workload, trace setting and metric, the output holds
+each side's median, quartiles and per-seed values, and how many of the
+seeds both sides ran the change won, ties counting for neither side,
+and the change's median over the parent's. Metric names, units and which way is better come from this tree's
+BENCHMARK.json; a per-layer metric that reads 0 in every record of a
+workload (a layer it does not run) is left out. Each side also
+gets its commits, source hashes and the provenance its records share.
+Standard library only; it runs no benchmark.
+
+    python3 scripts/collate_bench.py --parent ../hill-parent --change . --out BENCH_11.json
+"""
+
+import argparse
+import glob
+import json
+import os
+import re
+import statistics
+import sys
+
+TREE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RECORD = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json$")
+
+
+def load_records(checkout):
+    """{(workload, 'trace<t>'): {seed: record}} from checkout/.perfbench."""
+    out = {}
+    for path in sorted(glob.glob(os.path.join(checkout, ".perfbench", "*.json"))):
+        m = RECORD.match(os.path.basename(path))
+        if not m:
+            continue
+        with open(path, encoding="utf-8") as fh:
+            record = json.load(fh)
+        key = (m["workload"], f"trace{m['trace']}")
+        out.setdefault(key, {})[int(m["seed"])] = record
+    if not out:
+        raise ValueError(f"{checkout}: no .perfbench/<workload>-seed<n>-trace<t>.json records")
+    return out
+
+
+def summary(values):
+    """Median and quartiles (inclusive method), with the per-seed values."""
+    vals = list(values.values())
+    if len(vals) == 1:
+        q1 = med = q3 = vals[0]
+    else:
+        q1, med, q3 = statistics.quantiles(vals, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3, "values": {str(s): v for s, v in values.items()}}
+
+
+def compare(parent, change, better):
+    """Wins of the change over the parent on the seeds both ran."""
+    seeds = sorted(set(parent) & set(change))
+    if better == "higher":
+        wins = sum(change[s] > parent[s] for s in seeds)
+    else:
+        wins = sum(change[s] < parent[s] for s in seeds)
+    ties = sum(change[s] == parent[s] for s in seeds)
+    return {"pairs": len(seeds), "change_wins": wins, "ties": ties}
+
+
+def side_info(records):
+    """Commits, source hashes and the provenance fields all records share."""
+    provs = [r["provenance"] for runs in records.values() for r in runs.values()]
+    shared = {k: v for k, v in provs[0].items() if all(p.get(k) == v for p in provs)}
+    for key in ("git_commit", "source_sha256", "seed"):
+        shared.pop(key, None)
+    return {
+        "commits": sorted({str(p.get("git_commit")) for p in provs}),
+        "source_sha256": sorted({p["source_sha256"] for p in provs}),
+        "provenance": shared,
+    }
+
+
+def collate(parent_dir, change_dir, spec):
+    parent, change = load_records(parent_dir), load_records(change_dir)
+    workloads = {}
+    for key in sorted(set(parent) | set(change)):
+        workload, trace = key
+        runs = {"parent": parent.get(key, {}), "change": change.get(key, {})}
+        entry = {
+            "seeds": {side: sorted(r) for side, r in runs.items()},
+            "failed": {
+                side: {str(s): rec["failed"] for s, rec in r.items()} for side, r in runs.items()
+            },
+            "metrics": {},
+        }
+        for m in spec["end_to_end" if trace == "trace0" else "per_layer"]:
+            row = {"unit": m["unit"], "better": m["better"]}
+            values = {}
+            for side, r in runs.items():
+                values[side] = {s: rec["metrics"][m["name"]]["value"] for s, rec in r.items()}
+                if values[side]:
+                    row[side] = summary(values[side])
+            if not any(v for vals in values.values() for v in vals.values()):
+                continue  # a layer this workload does not run reads 0
+            if values["parent"] and values["change"]:
+                row.update(compare(values["parent"], values["change"], m["better"]))
+                if row["parent"]["median"]:
+                    row["median_ratio"] = row["change"]["median"] / row["parent"]["median"]
+            entry["metrics"][m["name"]] = row
+        workloads.setdefault(workload, {})[trace] = entry
+    return {"parent": side_info(parent), "change": side_info(change), "workloads": workloads}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="checkout holding the parent's .perfbench/")
+    parser.add_argument("--change", required=True, help="checkout holding the change's .perfbench/")
+    parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
+    args = parser.parse_args(argv)
+    with open(os.path.join(TREE, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    try:
+        result = collate(args.parent, args.change, spec)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(result, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,7 +6,7 @@ import pytest
 from hill import tensor_nn as tn
 from hill.datagen import Example, count_matrix, gen_corpus, gen_hierarchy, hierarchy_to_graph, label_matrix
 from hill.entropy_min import build_coding_tree
-from hill.experiments import default_dataset
+from hill.experiments import DEFAULT_VOCAB, default_dataset
 from hill.hill_model import (
     BCE_CLAMP,
     HillConfig,
@@ -506,6 +506,40 @@ def test_token_counts_are_named_in_their_check():
     counts[1, 3] = np.nan
     with pytest.raises(ValueError, match="^token counts contains non-finite values"):
         model.predict_probs(counts)
+
+
+def level1_groups(s1):
+    """Leaf ids grouped by their level-1 node."""
+    return [np.flatnonzero(row) for row in s1]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_leaf_to_level1_assignment_does_not_change_training(k):
+    """Label identity reaches the structure branch only as S1 scale, so a
+    tree whose leaves sit under other level-1 nodes, with scale permuted
+    to match, trains the same model: only the tree's shape matters."""
+    hierarchy, train_docs, dev_docs = default_dataset(n_train=200, n_dev=100)
+    config = HillConfig(K=k, epochs=2)
+    tree = build_coding_tree(hierarchy_to_graph(hierarchy), k)
+    true, scrambled = (HillModel(config, DEFAULT_VOCAB, hierarchy.num_labels, tree) for _ in range(2))
+    s1 = true.structure.agg[0]
+    perm = np.random.default_rng(0).permutation(hierarchy.num_labels)
+    scrambled.structure.agg[0] = s1[:, perm]
+    scrambled.label_proj.scale.value[...] = true.label_proj.scale.value[perm]
+    moved = np.count_nonzero(s1.argmax(axis=0) != s1[:, perm].argmax(axis=0))
+    assert moved > hierarchy.num_labels // 2
+    starts = [m.label_proj.scale.value.copy() for m in (true, scrambled)]
+    reports = [train(m, train_docs, dev_docs, config) for m in (true, scrambled)]
+    for a, b in zip(*reports):
+        assert (a["dev_micro_f1"], a["dev_macro_f1"]) == (b["dev_micro_f1"], b["dev_macro_f1"])
+        assert abs(a["train_loss"] - b["train_loss"]) <= 1e-6 * abs(a["train_loss"])
+    # the scale entries under one level-1 node share every gradient, so
+    # they take the same steps; value - start rounds differently per entry
+    for model, start in zip((true, scrambled), starts):
+        update = (model.label_proj.scale.value - start)[:, 0]
+        assert np.abs(update).max() > 1e-3
+        for leaves in level1_groups(model.structure.agg[0]):
+            assert np.ptp(update[leaves]) <= 1e-12
 
 
 def test_training_is_deterministic():

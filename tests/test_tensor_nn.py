@@ -58,8 +58,9 @@ def masked_sigmoid(x):
     return out
 
 
-# signed zeros, subnormal-scale inputs, the edge of 1 - sigmoid(x) == 0,
-# the largest finite exp argument and where exp(-|x|) underflows to 0
+# signed zeros, tiny inputs, where sigmoid(x) rounds to 1.0 (36.7), the
+# largest exp argument with a finite result (709) and where exp(-|x|) is
+# the smallest subnormal (745)
 SIGMOID_GRID = [0.0, -0.0, 1e-300, -1e-300, 36.7, -36.7, 709.0, -709.0, 745.0, -745.0]
 
 
