@@ -101,9 +101,6 @@ class CodingTree:
         h = max(depth.values())
         return sorted(nid for nid, d in depth.items() if d == h - k)
 
-    def parents_of_leaves(self):
-        return sorted({self.nodes[l].parent for l in self.leaf_ids()})
-
     # -- entropy ------------------------------------------------------
 
     def structural_entropy(self) -> float:

@@ -205,7 +205,8 @@ def build_coding_tree(g: Graph, k: int) -> CodingTree:
         t1 = tree.copy()
         t1.merge(t1.root_id, build_two_level(t1, t1.root_id))
         # candidate 2, in place: refine below every parent-of-leaves node
-        for v in tree.parents_of_leaves():
+        # (each merge keeps all leaves at one depth, so those are layer 1)
+        for v in tree.layer(1):
             tree.merge(v, build_two_level(tree, v))
         if t1.structural_entropy() < tree.structural_entropy():  # a tie keeps candidate 2
             tree = t1

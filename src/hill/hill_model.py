@@ -60,6 +60,10 @@ class HillConfig:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not 0 <= self.lambda_clr < math.inf:
             raise ValueError(f"lambda_clr must be non-negative and finite, got {self.lambda_clr}")
+        if self.lambda_clr > 0 and self.batch_size < 2:  # NT-Xent needs in-batch negatives
+            raise ValueError(
+                f"batch_size must be at least 2 when lambda_clr > 0, got {self.batch_size}"
+            )
         if self.eta not in ETA_MODES:
             raise ValueError(f"eta must be one of {ETA_MODES}, got {self.eta!r}")
         if self.ntxent_form not in NTXENT_FORMS:
@@ -472,12 +476,16 @@ class HillModel:
 
 
 def refuse_empty_docs(examples, config: HillConfig):
-    """With lambda_clr > 0, ValueError names the 1-based position of the
-    first example with no tokens: it embeds to exactly 0 at init, which
-    NT-Xent cannot normalise."""
+    """ValueError on an empty training set and, with lambda_clr > 0, on
+    one example only or on the first example with no tokens (1-based):
+    NT-Xent needs a negative and cannot normalise an all-zero embedding."""
+    if not examples:
+        raise ValueError("empty training set")
+    why = "which contrastive training (lambda_clr > 0) cannot use"
     empty = next((i for i, ex in enumerate(examples, 1) if not ex.tokens), None)
+    if config.lambda_clr > 0 and len(examples) == 1:
+        raise ValueError(f"one example only, {why}")
     if config.lambda_clr > 0 and empty is not None:
-        why = "which contrastive training (lambda_clr > 0) cannot use"
         raise ValueError(f"example {empty} has no tokens, {why}")
 
 
@@ -490,8 +498,6 @@ def train(model: HillModel, train_examples, dev_examples, config: HillConfig, re
     are built per batch, and dev predictions run in batch_size slices,
     so memory grows with the batch, not with the corpus.
     """
-    if not train_examples:
-        raise ValueError("empty training set")
     vocab, num_labels, bs = model.encoder.vocab_size, model.num_labels, config.batch_size
     check_ids(train_examples, vocab, num_labels)
     check_ids(dev_examples, vocab, num_labels)

@@ -23,21 +23,21 @@ def micro_f1(preds, golds) -> float:
 
 def macro_f1(preds, golds, label_count: int) -> float:
     """Unweighted mean of per-label F1 over all `label_count` labels;
-    labels absent from both sides score 0."""
+    labels absent from both sides score exactly +0.0, so only the labels
+    that occur are counted, and summed in increasing order."""
     if len(preds) != len(golds):
         raise ValueError(f"length mismatch: {len(preds)} predictions vs {len(golds)} golds")
-    tp = [0] * label_count
-    fp = [0] * label_count
-    fn = [0] * label_count
+    counts = {}  # label -> [tp, fp, fn]
     for p, g in zip(preds, golds):
         p, g = set(p), set(g)
         for y in p | g:
             if y >= label_count or y < 0:
                 raise ValueError(f"label {y} out of range for {label_count} labels")
+            tp_fp_fn = counts.setdefault(y, [0, 0, 0])
             if y in p and y in g:
-                tp[y] += 1
+                tp_fp_fn[0] += 1
             elif y in p:
-                fp[y] += 1
+                tp_fp_fn[1] += 1
             else:
-                fn[y] += 1
-    return sum(_f1(tp[y], fp[y], fn[y]) for y in range(label_count)) / label_count
+                tp_fp_fn[2] += 1
+    return sum(_f1(*counts[y]) for y in sorted(counts)) / label_count

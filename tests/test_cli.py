@@ -173,6 +173,16 @@ def test_eval_with_explicit_label_count(tmp_path, capsys):
     assert lines[1] == "macro_f1 0.2500"
 
 
+def test_eval_memory_does_not_grow_with_the_largest_label_id(tmp_path, capsys):
+    # without --labels the count is the largest id + 1, here 10**12 + 1;
+    # only the labels that occur are counted
+    preds, golds = tmp_path / "p.jsonl", tmp_path / "g.jsonl"
+    save_dataset([Example(tokens=[], labels=[10**12])], preds)
+    save_dataset([Example(tokens=[], labels=[1])], golds)
+    assert main(["eval", "--pred", str(preds), "--gold", str(golds)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["micro_f1 0.0000", "macro_f1 0.0000"]
+
+
 def test_missing_file_exits_nonzero(tmp_path, capsys):
     rc = main(["oracle", "--graph", str(tmp_path / "nope.txt"), "--height", "2"])
     assert rc == 1
@@ -311,6 +321,34 @@ def test_train_refuses_empty_doc_only_for_contrastive_training(tmp_path, capsys,
     err = captured.err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"error: {train}: example 3 has no tokens")
+    assert not run.exists()
+
+
+@pytest.mark.parametrize(
+    "name,text,why",
+    [
+        ("train.jsonl", "", "empty training set"),
+        ("train.jsonl", '{"tokens": [1, 2], "labels": [1]}\n', "one example only, which contrastive"),
+        ("config.json", '{"batch_size": 1}', "batch_size must be at least 2 when lambda_clr > 0"),
+    ],
+    ids=["empty-set", "one-doc", "batch-of-one"],
+)
+def test_train_refuses_untrainable_contrastive_runs_before_writing(
+    tmp_path, capsys, tiny_data, name, text, why
+):
+    # NT-Xent needs at least two documents in every batch
+    data = tmp_path / "data"
+    shutil.copytree(tiny_data, data)
+    bad = (tmp_path if name == "config.json" else data) / name
+    bad.write_text(text, encoding="utf-8")
+    run = tmp_path / "run"
+    args = ["train", "--data", str(data), "--out", str(run)]
+    capsys.readouterr()
+    assert main(args + (["--config", str(bad)] if name == "config.json" else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: {why}")
     assert not run.exists()
 
 
@@ -540,3 +578,77 @@ def test_build_tree_rejects_malformed_graph_files(tmp_path, capsys, content):
     assert captured.out == ""
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {graph}: ")
+
+
+# -- malformed train.jsonl and dev.jsonl through `hill train` ---------------
+
+_LIMITS = {"tokens": 64, "labels": 7}  # tiny_data's vocabulary and label count
+_BAD_LINE_KINDS = (
+    "json", "non-object", "no labels", "not a list", "not an id", "negative", "over", "utf-8"
+)
+
+
+def _not_json(text):
+    try:
+        json.loads(text.strip())  # the reader strips each line first
+    except ValueError:
+        return bool(text.strip())
+    return False
+
+
+@st.composite
+def _broken_dataset_line(draw):
+    """One line that breaks a dataset file, as (kind, bytes)."""
+    kind = draw(st.sampled_from(_BAD_LINE_KINDS))
+    field = draw(st.sampled_from(["tokens", "labels"]))
+    row = {"tokens": [1, 2], "labels": [1]}
+    if kind == "json":
+        chars = st.characters(exclude_categories=("Cs",), exclude_characters="\r\n")
+        text = draw(st.text(chars, min_size=1).filter(_not_json))
+        return kind, text.encode()
+    if kind == "non-object":
+        return kind, json.dumps(draw(_json.filter(lambda x: not isinstance(x, dict)))).encode()
+    if kind == "utf-8":
+        return kind, json.dumps(row).encode().replace(b"[", b"[\xff", 1)
+    if kind == "no labels":
+        del row["labels"]
+    elif kind == "not a list":
+        row[field] = draw(_json.filter(lambda x: not isinstance(x, list)))
+    else:
+        bad = {
+            "not an id": _not_an_id,
+            "negative": st.integers(max_value=-1),
+            "over": st.integers(min_value=_LIMITS[field]),
+        }[kind]
+        row[field].insert(draw(st.integers(0, len(row[field]))), draw(bad))
+    return kind, json.dumps(row).encode()
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    name=st.sampled_from(["train.jsonl", "dev.jsonl"]),
+    at=st.integers(0, 8),
+    replace=st.booleans(),
+    broken=_broken_dataset_line(),
+)
+def test_train_rejects_malformed_dataset_lines(
+    tmp_path, capsys, tiny_data, name, at, replace, broken
+):
+    kind, line = broken
+    lines = (tiny_data / name).read_bytes().splitlines()
+    at = min(at, len(lines) - replace)
+    lines[at : at + replace] = [line]
+    data, run = tmp_path / "data", tmp_path / "run"
+    shutil.copytree(tiny_data, data, dirs_exist_ok=True)
+    (data / name).write_bytes(b"\n".join(lines) + b"\n")
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(run)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    # a text-mode read decodes ahead of the lines, so bad UTF-8 names only the file
+    where = "'utf-8' codec can't decode" if kind == "utf-8" else f"line {at + 1}: "
+    assert len(err) == 1 and err[0].startswith(f"error: {data / name}: {where}")
+    assert not run.exists()

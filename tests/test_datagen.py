@@ -1,12 +1,17 @@
+import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hill import datagen
 from hill.datagen import (
     Example,
     LabelHierarchy,
+    _checked_ids,
+    _ids_by_doc,
     check_ids,
     count_matrix,
     gen_corpus,
@@ -138,24 +143,96 @@ def test_count_and_label_matrices():
     assert y.tolist() == [[0.0, 1.0, 1.0], [0.0, 0.0, 1.0]]
 
 
+VOCAB, LABELS = 4, 3
+
+# Bad id lists, one table for every reader of ids: the field that holds
+# them, the index of the document they sit in, the ids, and the id rule's
+# message. Tokens are read below VOCAB and labels below LABELS.
+BAD_IDS = [
+    ("tokens", 1, [1, -1], "token id -1 is negative"),
+    ("tokens", 0, [1, 4], r"token id 4 outside \[0, 4\)"),
+    ("labels", 2, [0, -2], "label id -2 is negative"),
+    ("labels", 0, [3], r"label id 3 outside \[0, 3\)"),
+    ("tokens", 0, [1, 1.5], "token id 1.5 is not an integer"),
+    ("tokens", 1, [1, "3"], "token id '3' is not an integer"),
+    ("tokens", 0, [1, True], "token id True is not an integer"),
+    ("tokens", 0, [1, [2]], r"token id \[2\] is not an integer"),
+    ("tokens", 0, [[1], [2]], r"token id \[1\] is not an integer"),
+    ("labels", 1, [0.9], "label id 0.9 is not an integer"),
+    ("labels", 1, [1, [2]], r"label id \[2\] is not an integer"),
+    ("labels", 1, 3, "label ids 3 is not a list"),
+    ("labels", 0, [2, False], "label id False is not an integer"),
+    ("tokens", 2, [2**70], r"token id 1180591620717411303424 outside \[0, 4\)"),
+]
+
+
+def _bad_doc(field, ids):
+    return {"tokens": [1], "labels": [1], field: ids}
+
+
 @pytest.mark.parametrize(
     "build,docs,message",
     [
-        (count_matrix, [Example([1], [1]), Example([2, -1], [1])], "doc 1: token id -1 "),
-        (count_matrix, [Example([4], [1])], "doc 0: token id 4 "),
-        (label_matrix, [Example([], []), Example([], [1]), Example([], [0, -2])], "doc 2: label id -2 "),
-        (label_matrix, [Example([], [4])], "doc 0: label id 4 "),
-        (count_matrix, [Example([1.5, 2], [])], "doc 0: token id 1.5 is not an integer"),
-        (count_matrix, [Example([0], []), Example(["3"], [])], "doc 1: token id '3' is not an integer"),
-        (count_matrix, [Example([True], [])], "doc 0: token id True is not an integer"),
-        (count_matrix, [Example([1, [2]], [])], r"doc 0: token id \[2\] is not an integer"),
-        (count_matrix, [Example([[1], [2]], [])], r"doc 0: token id \[1\] is not an integer"),
-        (label_matrix, [Example([], [1]), Example([], [0.9])], "doc 1: label id 0.9 is not an integer"),
+        (
+            count_matrix if field == "tokens" else label_matrix,
+            [Example([0], [0])] * doc + [Example(**_bad_doc(field, ids))],
+            f"doc {doc}: {message}",
+        )
+        for field, doc, ids, message in BAD_IDS
+        + [("tokens", 0, [np.True_], "token id np.True_ is not an integer")]
     ],
 )
 def test_count_and_label_matrices_reject_bad_ids(build, docs, message):
-    with pytest.raises(ValueError, match=message):
-        build(docs, 4)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(docs, VOCAB if build is count_matrix else LABELS)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_ids(docs, VOCAB, LABELS)
+
+
+_good_id = st.integers(0, 9) | st.integers(0, 9).map(np.int64)
+_bad_id = st.one_of(
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.floats(),
+    st.text(max_size=2),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.integers(2**63, 2**70),
+    st.integers(-5, -1) | st.integers(-5, -1).map(np.int64),
+    st.integers(10, 20),
+)
+_id_list = st.lists(_good_id, max_size=5) | st.lists(_good_id | _bad_id, max_size=5)
+_doc_ids = st.one_of(
+    _id_list,
+    _id_list.map(tuple),
+    st.none(),
+    st.integers(),
+    st.text(max_size=3),
+    st.sets(st.integers(0, 9), max_size=3),
+    st.dictionaries(st.integers(0, 9), st.integers(0, 9), max_size=2),
+    st.lists(st.integers(0, 9), max_size=3).map(np.array),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(id_lists=st.lists(_doc_ids, max_size=4))
+def test_ids_by_doc_accepts_exactly_what_the_rule_accepts(id_lists):
+    first_error = None
+    for doc, ids in enumerate(id_lists):
+        try:
+            _checked_ids(ids, 10, "token")
+        except ValueError as exc:
+            first_error = f"doc {doc}: {exc}"
+            break
+    if first_error is not None:
+        with pytest.raises(ValueError) as refused:
+            _ids_by_doc(id_lists, 10, "token")
+        assert str(refused.value) == first_error
+        return
+    rows, ids = _ids_by_doc(id_lists, 10, "token")
+    flat = [i for doc_ids in id_lists for i in doc_ids]
+    assert ids.dtype == np.int64
+    assert np.array_equal(ids, np.array(flat, dtype=np.int64))
+    assert rows.tolist() == [doc for doc, doc_ids in enumerate(id_lists) for _ in doc_ids]
 
 
 def test_count_and_label_matrices_accept_empty_id_lists():
@@ -222,23 +299,15 @@ def test_count_matrix_matches_add_at_scatter(docs, vocab):
 
 @pytest.mark.parametrize(
     "line,message",
-    [
-        ('{"tokens": [1, -1], "labels": [1]}', "token id -1 is negative"),
-        ('{"tokens": [1, 4], "labels": [1]}', r"token id 4 outside \[0, 4\)"),
-        ('{"tokens": [1], "labels": [3]}', r"label id 3 outside \[0, 3\)"),
-        ('{"tokens": [1, 1.5], "labels": [1]}', "token id 1.5 is not an integer"),
-        ('{"tokens": [1, "3"], "labels": [1]}', "token id '3' is not an integer"),
-        ('{"tokens": [1, true], "labels": [1]}', "token id True is not an integer"),
-        ('{"tokens": [1], "labels": [1, [2]]}', r"label id \[2\] is not an integer"),
-        ('{"tokens": [1], "labels": 3}', "labels 3 is not a list"),
-        ("[1]", "missing 'labels'"),
-    ],
+    [(json.dumps(_bad_doc(field, ids)), message) for field, _, ids, message in BAD_IDS]
+    + [("[1]", "missing 'labels'")],
 )
 def test_load_dataset_rejects_bad_ids(tmp_path, line, message):
+    # as a file, each bad document is line 2, after a valid one
     p = tmp_path / "bad.jsonl"
     p.write_text('{"tokens": [0], "labels": [0]}\n' + line + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=f"bad.jsonl: line 2: {message}"):
-        load_dataset(p, vocab_size=4, num_labels=3)
+    with pytest.raises(ValueError, match=f"bad.jsonl: line 2: {message}$"):
+        load_dataset(p, vocab_size=VOCAB, num_labels=LABELS)
 
 
 def test_load_dataset_without_limits_still_rejects_negative_ids(tmp_path):

@@ -55,6 +55,10 @@ def test_config_validation():
         HillConfig(K=1)
     with pytest.raises(ValueError, match="batch_size"):
         HillConfig(batch_size=0)
+    # NT-Xent needs a second document in each batch for its negatives
+    with pytest.raises(ValueError, match="^batch_size must be at least 2 when lambda_clr > 0, got 1$"):
+        HillConfig(batch_size=1)
+    assert HillConfig(batch_size=1, lambda_clr=0.0).batch_size == 1
 
 
 def test_config_json_round_trip(tmp_path):
@@ -471,6 +475,14 @@ def test_train_rejects_empty_training_set():
         train(model, [], docs, config)
 
 
+def test_train_rejects_one_doc_only_for_contrastive_training():
+    _, config, model, docs, _, _ = small_setup(seed=15)
+    with pytest.raises(ValueError, match=r"^one example only, which contrastive training"):
+        train(model, docs[:1], docs, config)
+    _, config, model, docs, _, _ = small_setup(lambda_clr=0.0, seed=15)
+    assert len(train(model, docs[:1], docs, config)) == config.epochs
+
+
 def test_train_checks_every_id_before_the_first_step():
     _, config, model, docs, _, _ = small_setup(seed=14)
     before = [p.value.copy() for p in model.parameters()]
@@ -478,7 +490,7 @@ def test_train_checks_every_id_before_the_first_step():
     with pytest.raises(ValueError, match=r"^doc 11: token id 32 outside \[0, 32\)"):
         train(model, bad_token, docs, config)
     bad_label = docs[:4] + [Example(tokens=docs[4].tokens, labels=[-1])]
-    with pytest.raises(ValueError, match=r"^doc 4: label id -1 outside"):
+    with pytest.raises(ValueError, match=r"^doc 4: label id -1 is negative$"):
         train(model, docs, bad_label, config)
     assert all((p.value == v).all() for p, v in zip(model.parameters(), before))
 
