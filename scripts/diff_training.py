@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""Differential check of this tree against a reference checkout on the
-seed-42 default training run.
+"""Differential check of this tree against a reference checkout on two
+seed-42 training runs.
 
 With each tree's `src/` (in a subprocess, one BLAS thread) it runs
-`hill gen-data` with the default dataset settings and then
-`hill train --config configs/default.json --seed 42`, and compares the
-two `report.jsonl` files: dev micro- and macro-F1 must be identical in
-every epoch and train loss within 1e-6 relative. Both runs read this
-tree's config file. Exits 1 on any mismatch. It also prints whether the
-two `checkpoint.json` files are byte-identical, and each side's peak
-resident set for `hill train` (the child's `ru_maxrss`, read when it is
-reaped); those lines are information only and do not affect the exit
-status.
+`hill gen-data` with the default dataset settings and then two
+`hill train --seed 42` runs: one with `configs/default.json`, and one
+with that config changed to K=3, the `mean` readout and the
+`paper_literal` NT-Xent for 3 epochs, so the paths the default leaves
+out are checked too. For each run it compares the two `report.jsonl`
+files: dev micro- and macro-F1 must be identical in every epoch and
+train loss within 1e-6 relative. Both sides read this tree's configs.
+Exits 1 on any mismatch. It also prints whether the two
+`checkpoint.json` files of each run are byte-identical, and each side's
+peak resident set for `hill train` (the child's `ru_maxrss`, read when
+it is reaped); those lines are information only and do not affect the
+exit status.
 
     mkdir ../hill-parent && git archive HEAD~1 | tar -x -C ../hill-parent
     python scripts/diff_training.py --ref ../hill-parent
@@ -29,6 +32,7 @@ LOSS_RTOL = 1e-6
 SEED = 42
 TREE = Path(__file__).resolve().parents[1]
 CONFIG = TREE / "configs" / "default.json"
+VARIANT = {"K": 3, "eta": "mean", "ntxent_form": "paper_literal", "epochs": 3}
 
 
 def run_hill(cmd, env, log):
@@ -43,18 +47,23 @@ def run_hill(cmd, env, log):
     return usage.ru_maxrss / 1024.0  # kilobytes on Linux
 
 
-def run_report(tree, workdir):
-    """(report rows, checkpoint bytes, peak RSS of `hill train` in MB)."""
+def run_reports(tree, workdir, configs):
+    """Per config file: (report rows, checkpoint bytes, peak RSS of
+    `hill train` in MB), all trained on one generated dataset."""
     env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"), OPENBLAS_NUM_THREADS="1")
     hill = [sys.executable, "-m", "hill.cli"]
-    data, run, log = Path(workdir) / "data", Path(workdir) / "run", Path(workdir) / "log.txt"
+    data, log = Path(workdir) / "data", Path(workdir) / "log.txt"
     seed = ["--seed", str(SEED)]
     run_hill(hill + ["gen-data", "--out", str(data)] + seed, env, log)
-    train = ["train", "--data", str(data), "--out", str(run), "--config", str(CONFIG)]
-    rss = run_hill(hill + train + seed, env, log)
-    lines = (run / "report.jsonl").read_text(encoding="utf-8").splitlines()
-    report = [json.loads(line) for line in lines if line.strip()]
-    return report, (run / "checkpoint.json").read_bytes(), rss
+    out = []
+    for i, config in enumerate(configs):
+        run = Path(workdir) / f"run{i}"
+        train = ["train", "--data", str(data), "--out", str(run), "--config", str(config)]
+        rss = run_hill(hill + train + seed, env, log)
+        lines = (run / "report.jsonl").read_text(encoding="utf-8").splitlines()
+        report = [json.loads(line) for line in lines if line.strip()]
+        out.append((report, (run / "checkpoint.json").read_bytes(), rss))
+    return out
 
 
 def compare(ref, new, rtol):
@@ -79,15 +88,23 @@ def main():
     parser.add_argument("--ref", required=True, help="reference checkout (holds src/hill)")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as ref_dir, tempfile.TemporaryDirectory() as new_dir:
-        ref, ref_ckpt, ref_rss = run_report(args.ref, ref_dir)
-        new, new_ckpt, new_rss = run_report(TREE, new_dir)
-    worst, problems = compare(ref, new, LOSS_RTOL)
-    print(f"epochs {len(new)}; max train-loss rel diff {worst:.3e}; mismatches {len(problems)}")
-    print(f"checkpoint.json byte-identical: {'yes' if ref_ckpt == new_ckpt else 'no'}")
-    print(f"hill train peak RSS: ref {ref_rss:.1f} MB, this tree {new_rss:.1f} MB")
-    for p in problems:
-        print(p)
-    return 1 if problems else 0
+        variant = Path(new_dir) / "variant.json"
+        config = json.loads(CONFIG.read_text(encoding="utf-8"))
+        variant.write_text(json.dumps({**config, **VARIANT}), encoding="utf-8")
+        names = ["default", "K=3 mean paper_literal"]
+        refs = run_reports(args.ref, ref_dir, [CONFIG, variant])
+        news = run_reports(TREE, new_dir, [CONFIG, variant])
+    failed = False
+    for name, (ref, ref_ckpt, ref_rss), (new, new_ckpt, new_rss) in zip(names, refs, news):
+        worst, problems = compare(ref, new, LOSS_RTOL)
+        print(f"[{name}] epochs {len(new)}; max train-loss rel diff {worst:.3e}; "
+              f"mismatches {len(problems)}")
+        print(f"[{name}] checkpoint.json byte-identical: {'yes' if ref_ckpt == new_ckpt else 'no'}")
+        print(f"[{name}] hill train peak RSS: ref {ref_rss:.1f} MB, this tree {new_rss:.1f} MB")
+        for p in problems:
+            print(p)
+        failed = failed or bool(problems)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

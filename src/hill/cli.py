@@ -16,7 +16,7 @@ from . import datagen, experiments
 from .coding_tree import CodingTree
 from .entropy_min import build_coding_tree, oracle_min_entropy
 from .graph import load_graph_file, prefix_errors
-from .hill_model import HillConfig, refuse_empty_docs
+from .hill_model import HillConfig, refuse_empty_docs, train
 from .metrics import macro_f1, micro_f1
 from .tensor_nn import save_checkpoint
 
@@ -92,8 +92,8 @@ def _cmd_train(args):
     else:
         config = HillConfig(**overrides)
     h = datagen.load_taxonomy(data / "taxonomy.txt")
-    if config.K >= h.num_labels:  # refused before --out exists, as build_coding_tree would
-        raise ValueError(f"height {config.K} not realizable on {h.num_labels} vertices")
+    # before --out exists, so a K too high or a model too big leaves nothing
+    model = experiments.build_model(config, h, vocab)
     train_docs = datagen.load_dataset(data / "train.jsonl", vocab, h.num_labels)
     with prefix_errors(data / "train.jsonl"):
         refuse_empty_docs(train_docs, config)
@@ -101,9 +101,7 @@ def _cmd_train(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     config.to_json_file(out / "config.json")
-    model, report = experiments.run_training(
-        config, h, train_docs, dev_docs, vocab, report_path=out / "report.jsonl"
-    )
+    report = train(model, train_docs, dev_docs, config, report_path=out / "report.jsonl")
     save_checkpoint(model.parameters(), out / "checkpoint.json")
     last = report[-1]
     print(
@@ -179,7 +177,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

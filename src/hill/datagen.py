@@ -24,7 +24,7 @@ from itertools import chain
 
 import numpy as np
 
-from .graph import Graph, build_graph, prefix_errors
+from .graph import Graph, build_graph, prefix_errors, read_lines
 
 TOKENS_PER_LABEL = 4
 _SIGNAL_PROB = 0.85
@@ -126,8 +126,8 @@ def load_taxonomy(path) -> LabelHierarchy:
             ids[name] = len(ids)
         return ids[name]
 
-    with prefix_errors(path), open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with prefix_errors(path):
+        for lineno, raw in read_lines(path):
             line = raw.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
@@ -192,8 +192,8 @@ def load_dataset(path, vocab_size=None, num_labels=None):
     """Read a JSONL dataset whose ids keep the id rule below vocab_size
     and num_labels; ValueError names the file, the line and the id."""
     out = []
-    with prefix_errors(path), open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with prefix_errors(path):
+        for lineno, raw in read_lines(path):
             line = raw.strip()
             if not line:
                 continue

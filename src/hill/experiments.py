@@ -32,11 +32,15 @@ def default_dataset(
     return hierarchy, train_docs, dev_docs
 
 
+def build_model(config: HillConfig, hierarchy, vocab=DEFAULT_VOCAB):
+    """The untrained model: graph, then coding tree of height config.K."""
+    tree = build_coding_tree(hierarchy_to_graph(hierarchy), config.K)
+    return HillModel(config, vocab, hierarchy.num_labels, tree)
+
+
 def run_training(config: HillConfig, hierarchy, train_docs, dev_docs, vocab=DEFAULT_VOCAB,
                  report_path=None):
-    graph = hierarchy_to_graph(hierarchy)
-    tree = build_coding_tree(graph, config.K)
-    model = HillModel(config, vocab, hierarchy.num_labels, tree)
+    model = build_model(config, hierarchy, vocab)
     report = train(model, train_docs, dev_docs, config, report_path=report_path)
     return model, report
 

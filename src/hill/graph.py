@@ -1,6 +1,6 @@
 """Undirected unit-weight graphs and the volume/cut queries that structural
-entropy is built from, plus `prefix_errors`, which every input reader
-uses to name its file in a ValueError.
+entropy is built from, plus two helpers of the input readers:
+`prefix_errors` names a file in a ValueError, `read_lines` numbers lines.
 
 Graphs are immutable after construction and safe to share across threads.
 Edge-list text format: one "u v" pair per line, `#` comments ignored,
@@ -9,6 +9,7 @@ Edge-list text format: one "u v" pair per line, `#` comments ignored,
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
@@ -58,10 +59,12 @@ def build_graph(node_count: int, edge_pairs) -> Graph:
 
 
 def load_graph(text: str) -> Graph:
-    """Parse an edge-list text into a validated Graph."""
+    """Parse an edge-list text into a validated Graph; as in a text-mode
+    read, lines end at CRLF, CR or LF only (not at a form feed or U+2028)."""
     pairs = []
     max_vertex = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -84,8 +87,8 @@ def load_graph(text: str) -> Graph:
 
 
 def load_graph_file(path) -> Graph:
-    with prefix_errors(path), open(path, encoding="utf-8") as fh:
-        return load_graph(fh.read())
+    with prefix_errors(path):
+        return load_graph("".join(line for _, line in read_lines(path)))
 
 
 @contextmanager
@@ -98,6 +101,20 @@ def prefix_errors(prefix):
         yield
     except ValueError as exc:
         raise ValueError(f"{prefix}: {exc}") from None
+
+
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # surrogateescape reads byte b as U+DC00 + b
+
+
+def read_lines(path):
+    """Yield (line number, line) of a UTF-8 text file, split only where
+    text-mode open() splits: at LF, CRLF and CR. A byte that is not UTF-8
+    raises ValueError naming its line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if bad := _ESCAPED_BYTE.search(line):
+                raise ValueError(f"line {lineno}: byte 0x{ord(bad[0]) - 0xDC00:02x} is not UTF-8")
+            yield lineno, line
 
 
 def _check_subset(g: Graph, subset) -> frozenset:

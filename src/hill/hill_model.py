@@ -50,12 +50,10 @@ class HillConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
                 raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
-        for name in ("d_B", "d_V", "epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        for name in ("lr_encoder", "lr_structure"):
+        for name, low in (("d_B", 1), ("d_V", 1), ("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        for name in ("tau", "lr_encoder", "lr_structure"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not 0 <= self.lambda_clr < math.inf:
@@ -82,8 +80,9 @@ class HillConfig:
             if not isinstance(blob, dict):
                 raise ValueError(f"expected a JSON object, got {type(blob).__name__}")
             unknown = sorted(set(blob) - {f.name for f in fields(cls)})
-            if unknown:
-                raise ValueError(f"unknown config key(s) {', '.join(unknown)}")
+            if unknown:  # escaped, so a key holding a line break keeps the error on one line
+                keys = ", ".join(k.encode("unicode_escape").decode() for k in unknown)
+                raise ValueError(f"unknown config key(s) {keys}")
             return cls(**{**blob, **overrides})
 
     def to_json_file(self, path):
@@ -154,44 +153,25 @@ class LabelProjector:
         return [self.scale] + self.lin.params()
 
 
-def _mlp_forward(mlp, x):
-    """lin1 -> relu -> lin2 on the rows of x, for any object with two
-    LinearLayers `lin1` and `lin2`; returns (output, ctx)."""
-    z1, c1 = mlp.lin1.forward(x)
-    z2, c2 = mlp.lin2.forward(tn.relu(z1))
+def _mlp_forward(lin1, lin2, x):
+    """lin1 -> relu -> lin2 on the rows of x; returns (output, ctx)."""
+    z1, c1 = lin1.forward(x)
+    z2, c2 = lin2.forward(tn.relu(z1))
     return z2, (z1, c1, c2)
 
 
-def _mlp_backward(mlp, grad, ctx):
+def _mlp_backward(lin1, lin2, grad, ctx):
     z1, c1, c2 = ctx
-    gz1 = tn.relu_backward(mlp.lin2.backward(grad, c2), z1)
-    return mlp.lin1.backward(gz1, c1)
-
-
-class LevelFFN:
-    """Two-layer perceptron applied node-wise within one tree level."""
-
-    def __init__(self, d_v, rng, name):
-        self.lin1 = tn.LinearLayer(d_v, d_v, rng, name=f"{name}.lin1")
-        self.lin2 = tn.LinearLayer(d_v, d_v, rng, name=f"{name}.lin2")
-
-    def forward_batch(self, a):
-        f, ctx = _mlp_forward(self, a.reshape(-1, a.shape[2]))
-        return f.reshape(a.shape), (a.shape, ctx)
-
-    def backward_batch(self, grad, ctx):
-        shape, mctx = ctx
-        return _mlp_backward(self, grad.reshape(-1, shape[2]), mctx).reshape(shape)
-
-    def params(self):
-        return self.lin1.params() + self.lin2.params()
+    gz1 = tn.relu_backward(lin2.backward(grad, c2), z1)
+    return lin1.backward(gz1, c1)
 
 
 class StructureEncoder:
-    """Bottom-up child-sum propagation over the coding tree with one FFN
-    per level and per-level readout concatenation; output dim K * d_V.
+    """Bottom-up child-sum propagation over the coding tree with one
+    two-layer perceptron per level, run on the level's (B * n, d_V) node
+    rows, and per-level readout concatenation; output dim K * d_V.
     Takes a1 = S1 x0 (S1 = agg[0]) from LabelProjector, starts at the
-    level-1 FFN and returns the gradient wrt a1.
+    level-1 perceptron and returns the gradient wrt a1.
 
     The tree sets only the shape of this branch: K and the node count of
     each level. Which leaf sits under which level-1 node does not matter.
@@ -217,16 +197,21 @@ class StructureEncoder:
             s[[row[tree.nodes[c].parent] for c in below], np.arange(len(below))] = 1.0
             self.agg.append(s)
             below = level
-        self.level_ffns = [LevelFFN(d_v, rng, f"structure.level{k}") for k in range(1, self.k + 1)]
+        self.level_ffns = [
+            tuple(tn.LinearLayer(d_v, d_v, rng, name=f"structure.level{k}.lin{i}") for i in (1, 2))
+            for k in range(1, self.k + 1)
+        ]
 
     def forward_batch(self, a1):
         x = a1
         level_ctx = []
         readouts = []
-        for k, ffn in enumerate(self.level_ffns):
-            f, fctx = ffn.forward_batch(np.matmul(self.agg[k], x) if k else x)
+        for k, (lin1, lin2) in enumerate(self.level_ffns):
+            a = np.matmul(self.agg[k], x) if k else x
+            f, fctx = _mlp_forward(lin1, lin2, a.reshape(-1, a.shape[2]))
+            f = f.reshape(a.shape)
             readouts.append(f.sum(axis=1) if self.eta == "sum" else f.mean(axis=1))
-            level_ctx.append((fctx, f.shape[1]))
+            level_ctx.append(fctx)
             x = f
         return np.concatenate(readouts, axis=1), level_ctx
 
@@ -234,21 +219,18 @@ class StructureEncoder:
         grads_r = np.split(grad_ht, self.k, axis=1)
         ga = None
         for k in reversed(range(self.k)):
-            fctx, n_nodes = level_ctx[k]
+            n_nodes = self.agg[k].shape[0]
             gr = grads_r[k][:, None, :]
-            gf = np.repeat(gr, n_nodes, axis=1)
             if self.eta == "mean":
-                gf = gf / n_nodes
-            if ga is not None:
-                gf = gf + np.matmul(self.agg[k + 1].T, ga)
-            ga = self.level_ffns[k].backward_batch(gf, fctx)
+                gr = gr / n_nodes
+            # every node of a level gets its readout's gradient
+            gf = np.repeat(gr, n_nodes, axis=1) if ga is None else self.agg[k + 1].T @ ga + gr
+            rows = _mlp_backward(*self.level_ffns[k], gf.reshape(-1, gf.shape[2]), level_ctx[k])
+            ga = rows.reshape(gf.shape)
         return ga
 
     def params(self):
-        out = []
-        for ffn in self.level_ffns:
-            out.extend(ffn.params())
-        return out
+        return [p for lin1, lin2 in self.level_ffns for p in lin1.params() + lin2.params()]
 
 
 class MlpProjector:
@@ -259,10 +241,10 @@ class MlpProjector:
         self.lin2 = tn.LinearLayer(out_dim, out_dim, rng, bias=False, name=f"{name}.lin2")
 
     def forward(self, x):
-        return _mlp_forward(self, x)
+        return _mlp_forward(self.lin1, self.lin2, x)
 
     def backward(self, grad, ctx):
-        return _mlp_backward(self, grad, ctx)
+        return _mlp_backward(self.lin1, self.lin2, grad, ctx)
 
     def params(self):
         return self.lin1.params() + self.lin2.params()
@@ -300,14 +282,12 @@ def nt_xent(h, h_hat, tau, form="simclr"):
     if form == "simclr":
         z = np.vstack([u, v])
         sims = (z @ z.T) / tau
-        masked = sims.copy()
-        np.fill_diagonal(masked, -np.inf)
-        row_max = masked.max(axis=1, keepdims=True)
-        lse = row_max[:, 0] + np.log(np.exp(masked - row_max).sum(axis=1))
+        np.fill_diagonal(sims, -np.inf)  # the positives lie off the diagonal
+        row_max = sims.max(axis=1, keepdims=True)
+        lse = row_max[:, 0] + np.log(np.exp(sims - row_max).sum(axis=1))
         pos = np.concatenate([np.arange(b) + b, np.arange(b)])
         loss = float(np.mean(lse - sims[np.arange(2 * b), pos]))
-        ctx = ("simclr", h, h_hat, u, v, nu, nv, tau, masked, lse, pos)
-        return loss, ctx
+        return loss, ("simclr", z, nu, nv, tau, sims, lse, pos)
     # paper_literal
     s = np.sum(u * v, axis=1)
     a = s / tau
@@ -316,8 +296,7 @@ def nt_xent(h, h_hat, tau, form="simclr"):
     total = e.sum()
     denom = total - e  # per-anchor sum over j != i
     loss = float(np.mean(-a + m + np.log(denom)))
-    ctx = ("paper_literal", h, h_hat, u, v, nu, nv, tau, s, e, denom)
-    return loss, ctx
+    return loss, ("paper_literal", u, v, nu, nv, tau, s, e, denom)
 
 
 def _cosine_rows_backward(g_unit, unit, norms):
@@ -329,19 +308,17 @@ def _cosine_rows_backward(g_unit, unit, norms):
 def nt_xent_backward(ctx):
     form = ctx[0]
     if form == "simclr":
-        _, h, h_hat, u, v, nu, nv, tau, masked, lse, pos = ctx
-        b = h.shape[0]
-        p = np.exp(masked - lse[:, None])
-        g_sims = p.copy()
+        _, z, nu, nv, tau, sims, lse, pos = ctx
+        b = len(nu)
+        g_sims = np.exp(sims - lse[:, None])
         g_sims[np.arange(2 * b), pos] -= 1.0
         g_sims /= 2 * b
-        z = np.vstack([u, v])
         gz = (g_sims @ z + g_sims.T @ z) / tau
-        gh = _cosine_rows_backward(gz[:b], u, nu)
-        gh_hat = _cosine_rows_backward(gz[b:], v, nv)
+        gh = _cosine_rows_backward(gz[:b], z[:b], nu)
+        gh_hat = _cosine_rows_backward(gz[b:], z[b:], nv)
         return gh, gh_hat
-    _, h, h_hat, u, v, nu, nv, tau, s, e, denom = ctx
-    b = h.shape[0]
+    _, u, v, nu, nv, tau, s, e, denom = ctx
+    b = len(u)
     inv = 1.0 / denom
     ds = (-1.0 + e * (inv.sum() - inv)) / (b * tau)
     gu = ds[:, None] * (v - s[:, None] * u)
@@ -452,7 +429,7 @@ class HillModel:
         g_logits = tn.sigmoid_backward(bce_backward(ctx_bce), p)
         gx = self.classifier.backward(g_logits, ctx_cls)
         d_b = self.config.d_B
-        gh, ght = gx[:, :d_b].copy(), gx[:, d_b:].copy()
+        gh, ght = gx[:, :d_b], gx[:, d_b:]  # views: gx is not read again
         if ctx_nt is not None:
             ghp, gtp = nt_xent_backward(ctx_nt)
             gh += self.proj_text.backward(lam * ghp, ctx_pt)

@@ -3,7 +3,7 @@ import math
 import shutil
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hill import experiments
@@ -239,6 +239,9 @@ def tiny_data(tmp_path_factory):
         ('{"tau": 0}', "tau must be positive"),
         ('{"tau": -0.5}', "tau must be positive"),
         ('{"tau": NaN}', "tau must be positive"),
+        ('{"tau": Infinity}', "tau must be positive and finite"),
+        ('{"seed": -1}', "seed must be at least 0"),
+        ('{"a\\nb": 1}', "unknown config key(s) a\\nb"),
         ('{"lr_encoder": -1}', "lr_encoder must be positive and finite"),
         ('{"lr_encoder": 0}', "lr_encoder must be positive and finite"),
         ('{"lr_encoder": Infinity}', "lr_encoder must be positive and finite"),
@@ -273,6 +276,31 @@ def test_train_rejects_unrealizable_height_before_writing(tmp_path, capsys, tiny
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0] == f"error: height {k} not realizable on 7 vertices"
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("where", ["config", "meta"])
+def test_train_refuses_a_model_too_big_for_memory_before_writing(tmp_path, capsys, tiny_data,
+                                                                  where):
+    # a 64 x 10**16 embedding needs about 2**62 bytes, more than any address
+    # space holds, so numpy's allocation fails at once instead of lazily
+    data, run = tmp_path / "data", tmp_path / "run"
+    shutil.copytree(tiny_data, data)
+    args = ["train", "--data", str(data), "--out", str(run)]
+    if where == "config":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"d_B": 10**16}), encoding="utf-8")
+        args += ["--config", str(config)]
+    else:
+        meta = json.loads((data / "meta.json").read_text(encoding="utf-8"))
+        meta["vocab_size"] = 10**16
+        (data / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    capsys.readouterr()
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
     assert not run.exists()
 
 
@@ -488,17 +516,26 @@ def test_entropy_rejects_malformed_tree_json(tmp_path, cycle4_file, capsys, obj)
 
 
 _NOT_UTF8 = b"\xff\xfe not utf-8\n"
+_GOOD_ROW = b'{"tokens": [1], "labels": [1]}\n'
 
 
 @pytest.mark.parametrize(
     "name,content,why",
     [
         ("train.jsonl", b'{"tokens": [1], "labels": [1]}\n{"tokens": [1,\n', "line 2: Expecting value"),
-        ("train.jsonl", _NOT_UTF8, "'utf-8' codec can't decode"),
-        ("taxonomy.txt", _NOT_UTF8, "'utf-8' codec can't decode"),
+        ("train.jsonl", _NOT_UTF8, "line 1: byte 0xff is not UTF-8"),
+        ("taxonomy.txt", _NOT_UTF8, "line 1: byte 0xff is not UTF-8"),
         ("meta.json", _NOT_UTF8, "'utf-8' codec can't decode"),
+        ("train.jsonl", _GOOD_ROW * 2 + b'{"tokens": [1], "labels": ["\xe9"]}\n' + _GOOD_ROW * 2,
+         "line 3: byte 0xe9 is not UTF-8"),
     ],
-    ids=["dataset-truncated-line", "dataset-not-utf8", "taxonomy-not-utf8", "meta-not-utf8"],
+    ids=[
+        "dataset-truncated-line",
+        "dataset-not-utf8",
+        "taxonomy-not-utf8",
+        "meta-not-utf8",
+        "dataset-not-utf8-on-line-3",
+    ],
 )
 def test_train_input_errors_name_the_file(tmp_path, capsys, tiny_data, name, content, why):
     data = tmp_path / "data"
@@ -514,12 +551,23 @@ def test_train_input_errors_name_the_file(tmp_path, capsys, tiny_data, name, con
     "command,content,why",
     [
         ("build-tree", b"0 1\n1 x\n", "line 2: non-integer vertex id in '1 x'"),
-        ("build-tree", _NOT_UTF8, "'utf-8' codec can't decode"),
+        ("build-tree", _NOT_UTF8, "line 1: byte 0xff is not UTF-8"),
         ("entropy", b'{"nodes": 3}', "tree JSON must be an object with a 'nodes' list"),
         ("entropy", _NOT_UTF8, "'utf-8' codec can't decode"),
         ("eval", b'{"labels": [1]}\n{"labels": [\n', "line 2: Expecting value"),
+        # a form feed or U+2028 ends no line, as in a text-mode read
+        ("build-tree", b"0 1\f\n1 x\n", "line 2: non-integer vertex id in '1 x'"),
+        ("build-tree", "0 1\u20281 2\n".encode(), "line 1: expected 'u v', got '0 1\\u20281 2'"),
     ],
-    ids=["graph-bad-line", "graph-not-utf8", "tree-bad", "tree-not-utf8", "pred-truncated-line"],
+    ids=[
+        "graph-bad-line",
+        "graph-not-utf8",
+        "tree-bad",
+        "tree-not-utf8",
+        "pred-truncated-line",
+        "graph-form-feed",
+        "graph-line-separator",
+    ],
 )
 def test_input_errors_name_the_file(tmp_path, capsys, cycle4_file, command, content, why):
     bad = tmp_path / "bad.txt"
@@ -648,7 +696,118 @@ def test_train_rejects_malformed_dataset_lines(
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.strip().splitlines()
-    # a text-mode read decodes ahead of the lines, so bad UTF-8 names only the file
-    where = "'utf-8' codec can't decode" if kind == "utf-8" else f"line {at + 1}: "
-    assert len(err) == 1 and err[0].startswith(f"error: {data / name}: {where}")
+    assert len(err) == 1 and err[0].startswith(f"error: {data / name}: line {at + 1}: ")
+    assert not run.exists()
+
+
+# -- malformed taxonomy.txt, config files and meta.json through `hill train` --
+
+_TINY_LABELS = ("root", "n0", "n1", "n0.0", "n0.1", "n1.0", "n1.1")  # tiny_data's taxonomy
+_label_name = st.text(
+    st.characters(exclude_categories=("Cs", "Cc")), min_size=1, max_size=4
+).filter(lambda name: not name.startswith("#"))
+_new_label_name = _label_name.filter(lambda name: name not in _TINY_LABELS)
+_TAXONOMY_BREAKS = (
+    "one field", "empty name", "two parents", "no parent", "cycle", "empty", "utf-8"
+)
+
+
+@st.composite
+def _broken_taxonomy(draw):
+    """tiny_data's taxonomy.txt with one change that always breaks it."""
+    lines = [b"root\tn0\tn1", b"n0\tn0.0\tn0.1", b"n1\tn1.0\tn1.1"]
+    kind = draw(st.sampled_from(_TAXONOMY_BREAKS))
+    at = draw(st.integers(0, len(lines)))
+    if kind == "one field":
+        line = draw(_label_name)
+    elif kind == "empty name":
+        fields = st.lists(_label_name | st.just(""), min_size=2, max_size=4)
+        line = "\t".join(draw(fields.filter(lambda f: "" in f)))
+    elif kind == "two parents":
+        line = f"{draw(_label_name)}\t{draw(st.sampled_from(_TINY_LABELS[1:]))}"
+    elif kind == "no parent":
+        line = f"{draw(_new_label_name)}\t{draw(_new_label_name)}"
+    elif kind == "cycle":
+        a, b = draw(st.lists(_new_label_name, min_size=2, max_size=2, unique=True))
+        line = f"{a}\t{b}\n{b}\t{a}"
+    elif kind == "empty":
+        return "taxonomy.txt", "\n".join(draw(st.lists(st.sampled_from(["", "# note"])))).encode()
+    else:
+        line = "n2\t\udcff"  # surrogateescape writes back the byte 0xff
+    lines.insert(at, line.encode("utf-8", "surrogateescape"))
+    return "taxonomy.txt", b"\n".join(lines) + b"\n"
+
+
+_not_a_number = st.none() | st.booleans() | st.text(max_size=3) | st.lists(st.integers(), max_size=2)
+_not_an_int = _not_a_number | st.floats()
+_not_positive = st.floats(max_value=0) | st.sampled_from([math.inf, math.nan])
+_BAD_CONFIG_VALUES = {
+    **dict.fromkeys(("d_B", "d_V", "epochs"), _not_an_int | st.integers(max_value=0)),
+    "batch_size": _not_an_int | st.integers(max_value=1),  # lambda_clr stays 0.1
+    "K": _not_an_int | st.integers(max_value=1),
+    "seed": _not_an_int | st.integers(max_value=-1),
+    **dict.fromkeys(("tau", "lr_encoder", "lr_structure"), _not_a_number | _not_positive),
+    "lambda_clr": _not_a_number
+    | st.floats(max_value=0).filter(lambda x: x < 0)
+    | st.sampled_from([math.inf, math.nan]),
+    "eta": _json.filter(lambda x: x not in ("sum", "mean")),
+    "ntxent_form": _json.filter(lambda x: x not in ("simclr", "paper_literal")),
+}
+
+
+@st.composite
+def _broken_config(draw):
+    kind = draw(st.sampled_from(["json", "non-object", "unknown key", "bad value", "utf-8"]))
+    if kind == "json":
+        chars = st.characters(exclude_categories=("Cs",))
+        return "config.json", draw(st.text(chars).filter(_not_json)).encode()
+    if kind == "non-object":
+        blob = draw(_json.filter(lambda x: not isinstance(x, dict)))
+    elif kind == "unknown key":
+        blob = {draw(st.text().filter(lambda k: k not in _BAD_CONFIG_VALUES)): draw(_json)}
+    elif kind == "bad value":
+        key = draw(st.sampled_from(sorted(_BAD_CONFIG_VALUES)))
+        blob = {key: draw(_BAD_CONFIG_VALUES[key])}
+    else:
+        return "config.json", b'{"eta": "\xffsum"}'
+    return "config.json", json.dumps(blob).encode()
+
+
+@st.composite
+def _broken_meta(draw):
+    kind = draw(st.sampled_from(["json", "non-object", "no vocab_size", "bad vocab_size", "utf-8"]))
+    meta = {"depth": 2, "branching": 2, "num_labels": 7, "vocab_size": 64}  # tiny_data's meta
+    if kind == "json":
+        chars = st.characters(exclude_categories=("Cs",))
+        return "meta.json", draw(st.text(chars).filter(_not_json)).encode()
+    if kind == "non-object":
+        meta = draw(_json.filter(lambda x: not isinstance(x, dict)))
+    elif kind == "no vocab_size":
+        del meta["vocab_size"]
+    elif kind == "bad vocab_size":
+        meta["vocab_size"] = draw(_not_an_int | st.integers(max_value=0))
+    else:
+        return "meta.json", b'{"vocab_size": 64, "name": "\xff"}'
+    return "meta.json", json.dumps(meta).encode()
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(broken=_broken_taxonomy() | _broken_config() | _broken_meta())
+@example(broken=("config.json", b'{"seed": -1}'))  # numpy would refuse it naming no file
+@example(broken=("config.json", b'{"a\\nb": 1}'))  # a line break in a key
+def test_train_rejects_malformed_taxonomy_config_and_meta(tmp_path, capsys, tiny_data, broken):
+    name, content = broken
+    data, run = tmp_path / "data", tmp_path / "run"
+    shutil.copytree(tiny_data, data, dirs_exist_ok=True)
+    bad = (tmp_path if name == "config.json" else data) / name
+    bad.write_bytes(content)
+    args = ["train", "--data", str(data), "--out", str(run)]
+    capsys.readouterr()
+    assert main(args + (["--config", str(bad)] if name == "config.json" else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
     assert not run.exists()

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,8 @@ from hill.hill_model import (
     HillModel,
     LabelProjector,
     StructureEncoder,
+    _mlp_backward,
+    _mlp_forward,
     bce_backward,
     bce_loss,
     nt_xent,
@@ -55,6 +58,8 @@ def test_config_validation():
         HillConfig(K=1)
     with pytest.raises(ValueError, match="batch_size"):
         HillConfig(batch_size=0)
+    with pytest.raises(ValueError, match="^tau must be positive and finite, got inf$"):
+        HillConfig(tau=math.inf)
     # NT-Xent needs a second document in each batch for its negatives
     with pytest.raises(ValueError, match="^batch_size must be at least 2 when lambda_clr > 0, got 1$"):
         HillConfig(batch_size=1)
@@ -298,8 +303,10 @@ def einsum_structure_encoder(enc, x0, grad_ht):
     starting from the leaf features x0 (S1 applied here); accumulates FFN
     grads like the real backward and returns (h_T, grad wrt a1 = S1 x0)."""
     x, ctxs, readouts = x0, [], []
-    for s, ffn in zip(enc.agg, enc.level_ffns):
-        f, fctx = ffn.forward_batch(np.einsum("ij,bjd->bid", s, x))
+    for s, (lin1, lin2) in zip(enc.agg, enc.level_ffns):
+        a = np.einsum("ij,bjd->bid", s, x)
+        f, fctx = _mlp_forward(lin1, lin2, a.reshape(-1, a.shape[2]))
+        f = f.reshape(a.shape)
         readouts.append(f.sum(axis=1) if enc.eta == "sum" else f.mean(axis=1))
         ctxs.append((fctx, f.shape[1]))
         x = f
@@ -308,7 +315,8 @@ def einsum_structure_encoder(enc, x0, grad_ht):
         fctx, n = ctxs[k]
         gf = np.repeat(np.split(grad_ht, enc.k, axis=1)[k][:, None, :], n, axis=1)
         gf = (gf / n if enc.eta == "mean" else gf) + carry
-        ga = enc.level_ffns[k].backward_batch(gf, fctx)
+        lin1, lin2 = enc.level_ffns[k]
+        ga = _mlp_backward(lin1, lin2, gf.reshape(-1, gf.shape[2]), fctx).reshape(gf.shape)
         carry = np.einsum("ij,bid->bjd", enc.agg[k], ga)
     return np.concatenate(readouts, axis=1), ga
 
