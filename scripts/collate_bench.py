@@ -13,7 +13,11 @@ workload (a layer it does not run) is left out. Each side also
 gets its commits, source hashes and the provenance its records share.
 Standard library only; it runs no benchmark.
 
-    python3 scripts/collate_bench.py --parent ../hill-parent --change . --out BENCH_11.json
+    git archive PARENT_COMMIT | tar -x -C ../parent   # and CHANGE_COMMIT into ../change
+    python3 scripts/collate_bench.py --parent ../parent --change ../change --out BENCH_<n>.json
+
+Run both sides from fresh checkouts side by side: where a checkout sits
+moves its end-to-end numbers by several percent.
 """
 
 import argparse

@@ -1,7 +1,7 @@
 """Command-line entry point: entropy, build-tree, oracle, gen-data,
-train, eval. All subcommands are deterministic under --seed and exit
-nonzero with a one-line diagnostic on any module error. Set HILL_LOG to
-error|info|debug for verbosity."""
+train, eval. Every subcommand is deterministic; gen-data and train take
+their seed from --seed. Each exits nonzero with a one-line diagnostic on
+any module error. Set HILL_LOG to error|info|debug for verbosity."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import datagen, experiments
@@ -49,7 +50,15 @@ def _cmd_oracle(args):
     print(f"gap {greedy - optimal:.4f}")
 
 
+def _at_least(flag, value, low):
+    if value < low:
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
+
+
 def _cmd_gen_data(args):
+    _at_least("--n-train", args.n_train, 1)
+    _at_least("--n-dev", args.n_dev, 1)
+    _at_least("--seed", args.seed, 0)
     # generate first, so a bad argument leaves nothing behind in --out
     h, train_docs, dev_docs = experiments.default_dataset(
         args.depth, args.branching, args.n_train, args.n_dev, args.vocab, args.seed
@@ -84,13 +93,10 @@ def _vocab_size(meta_path: Path) -> int:
 def _cmd_train(args):
     data = Path(args.data)
     vocab = _vocab_size(data / "meta.json")
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.config:
-        config = HillConfig.from_json_file(args.config, **overrides)
-    else:
-        config = HillConfig(**overrides)
+    config = HillConfig.from_json_file(args.config) if args.config else HillConfig()
+    if args.seed is not None:  # after the file's checks, so a bad flag is not blamed on it
+        _at_least("--seed", args.seed, 0)
+        config = replace(config, seed=args.seed)
     h = datagen.load_taxonomy(data / "taxonomy.txt")
     # before --out exists, so a K too high or a model too big leaves nothing
     model = experiments.build_model(config, h, vocab)
@@ -112,8 +118,8 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
-    if args.labels is not None and args.labels < 1:
-        raise ValueError(f"--labels must be at least 1, got {args.labels}")
+    if args.labels is not None:
+        _at_least("--labels", args.labels, 1)
     preds = [set(ex.labels) for ex in datagen.load_dataset(args.pred)]
     golds = [set(ex.labels) for ex in datagen.load_dataset(args.gold)]
     label_count = args.labels

@@ -54,6 +54,20 @@ class CodingTree:
         self._next_id += 1
         return node
 
+    def _insert_above(self, kids, subset, volume, cut) -> TreeNode:
+        """Allocate a node in the slot of kids[0] under the kids' common
+        parent, drop the other kids from that parent's list, and adopt the
+        kids in the given order."""
+        parent = self.nodes[self.nodes[kids[0]].parent]
+        node = self._alloc(parent.id, subset, volume, cut)
+        parent.children[parent.children.index(kids[0])] = node.id
+        for k in kids[1:]:
+            parent.children.remove(k)
+        node.children = list(kids)
+        for k in kids:
+            self.nodes[k].parent = node.id
+        return node
+
     def copy(self) -> "CodingTree":
         other = CodingTree(self.graph)
         other.root_id = self.root_id
@@ -150,19 +164,8 @@ class CodingTree:
         a, b = self.nodes[a_id], self.nodes[b_id]
         if a.parent is None or a.parent != b.parent:
             raise ValueError(f"nodes {a_id} and {b_id} are not siblings")
-        parent = self.nodes[a.parent]
-        gamma = self._alloc(
-            parent=parent.id,
-            subset=a.subset | b.subset,
-            volume=a.volume + b.volume,
-            cut=a.cut + b.cut - 2 * cross_edges(self.graph, a.subset, b.subset),
-        )
-        gamma.children = [a_id, b_id]
-        idx = parent.children.index(a_id)
-        parent.children[idx] = gamma.id
-        parent.children.remove(b_id)
-        a.parent = b.parent = gamma.id
-        return gamma.id
+        cut = a.cut + b.cut - 2 * cross_edges(self.graph, a.subset, b.subset)
+        return self._insert_above([a_id, b_id], a.subset | b.subset, a.volume + b.volume, cut).id
 
     def remove_node(self, v_id: int) -> None:
         """Delete a non-root internal node, reattaching its children to
@@ -193,22 +196,9 @@ class CodingTree:
             raise ValueError(f"target height {target_height} below current height {h}")
         for leaf_id in sorted(self.leaf_ids()):
             leaf = self.nodes[leaf_id]
-            missing = target_height - depth[leaf_id]
-            if missing == 0:
-                continue
-            parent = self.nodes[leaf.parent]
-            idx = parent.children.index(leaf_id)
-            above = parent
-            # bottom of the chain ends at the leaf
-            for _ in range(missing):
-                u = self._alloc(above.id, leaf.subset, leaf.volume, leaf.cut)
-                if above is parent:
-                    parent.children[idx] = u.id
-                else:
-                    above.children = [u.id]
-                above = u
-            above.children = [leaf_id]
-            leaf.parent = above.id
+            # each node goes right above the leaf, so the first is the chain's top
+            for _ in range(target_height - depth[leaf_id]):
+                self._insert_above([leaf_id], leaf.subset, leaf.volume, leaf.cut)
 
     def merge(self, at_id: int, sub: "CodingTree") -> None:
         """Replace the children of `at` with the middle layer of the

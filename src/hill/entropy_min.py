@@ -217,7 +217,9 @@ def build_coding_tree(g: Graph, k: int) -> CodingTree:
 
 
 def set_partitions(items):
-    """All set partitions of `items`, blocks ordered by smallest element."""
+    """All set partitions of `items`. Each block keeps the items' order, but
+    the blocks are not ordered by smallest element ([[1, 2], [0, 3]] is
+    one); the oracle breaks ties in this enumeration order."""
     items = list(items)
     if not items:
         yield []
@@ -258,22 +260,16 @@ def _tree_from_layers(g: Graph, layers) -> CodingTree:
     """Build an explicit coding tree from bottom-up nested layers and
     align it to uniform leaf depth."""
     tree = initial_tree(g)
-    root = tree.nodes[tree.root_id]
     below = {frozenset({v}): v for v in range(g.node_count)}
     for layer in layers:
         current = {}
         for block in layer:
             s = frozenset(block)
-            node = tree._alloc(None, s, subset_volume(g, s), cut_size(g, s))
             kids = sorted(c for sub, c in below.items() if sub <= s)
-            node.children = kids
-            for c in kids:
-                tree.nodes[c].parent = node.id
-            current[s] = node.id
+            current[s] = tree._insert_above(kids, s, subset_volume(g, s), cut_size(g, s)).id
         below = current
-    root.children = sorted(below.values())
-    for c in root.children:
-        tree.nodes[c].parent = root.id
+    # set_partitions does not order blocks by their smallest element
+    tree.nodes[tree.root_id].children.sort()
     tree.align(len(layers) + 1)
     return tree
 

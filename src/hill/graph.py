@@ -21,10 +21,7 @@ class Graph:
     edges: frozenset  # pairs (u, v) with u < v
     degree: tuple
     adjacency: tuple  # per-vertex frozenset of neighbors
-
-    @property
-    def volume(self) -> int:
-        return 2 * len(self.edges)
+    volume: int  # 2 * len(edges)
 
 
 def build_graph(node_count: int, edge_pairs) -> Graph:
@@ -55,6 +52,7 @@ def build_graph(node_count: int, edge_pairs) -> Graph:
         edges=frozenset(edges),
         degree=tuple(len(n) for n in neighbors),
         adjacency=tuple(frozenset(n) for n in neighbors),
+        volume=2 * len(edges),
     )
 
 

@@ -418,6 +418,36 @@ def test_gen_data_rejects_empty_vocabulary(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command,flags,why",
+    [
+        pytest.param("train-config", ["--seed", "-1"], "--seed must be at least 0, got -1",
+                     id="train-config-seed"),
+        pytest.param("train", ["--seed", "-1"], "--seed must be at least 0, got -1",
+                     id="train-seed"),
+        pytest.param("gen-data", ["--seed", "-1"], "--seed must be at least 0, got -1",
+                     id="gen-data-seed"),
+        pytest.param("gen-data", ["--n-train", "0"], "--n-train must be at least 1, got 0",
+                     id="gen-data-n-train"),
+        pytest.param("gen-data", ["--n-dev", "0"], "--n-dev must be at least 1, got 0",
+                     id="gen-data-n-dev"),
+    ],
+)
+def test_bad_flag_is_blamed_on_the_flag(tmp_path, capsys, tiny_data, command, flags, why):
+    out = tmp_path / "out"
+    config = tmp_path / "c.json"
+    config.write_text('{"epochs": 1}', encoding="utf-8")
+    if command == "gen-data":
+        args = ["gen-data", "--out", str(out), "--depth", "2", "--branching", "2"]
+    else:
+        args = ["train", "--data", str(tiny_data), "--out", str(out)]
+        args += ["--config", str(config)] if command == "train-config" else []
+    capsys.readouterr()
+    assert main(args + flags) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {why}"]
+    assert not out.exists()
+
+
 def test_gen_data_defaults_are_the_experiment_defaults(tmp_path, capsys):
     out = tmp_path / "data"
     assert main(["gen-data", "--out", str(out)]) == 0

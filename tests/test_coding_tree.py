@@ -53,6 +53,20 @@ def test_compress_updates_caches(bridge_triangles):
         tree.validate(require_uniform_depth=True)
 
 
+def _links(tree):
+    """{node id: (parent, children)} for every node."""
+    return {n.id: (n.parent, n.children) for n in tree.nodes.values()}
+
+
+def test_compress_takes_the_first_nodes_slot(bridge_triangles):
+    tree = initial_tree(bridge_triangles)  # leaves 0..5 under root 6
+    assert tree.compress(4, 2) == 7
+    assert tree.nodes[6].children == [0, 1, 3, 7, 5]
+    assert tree.nodes[7].children == [4, 2]
+    assert tree.nodes[2].parent == tree.nodes[4].parent == 7
+    assert tree.nodes[7].parent == 6
+
+
 def test_compress_rejects_non_siblings(cycle4):
     tree = initial_tree(cycle4)
     tree.compress(0, 1)
@@ -101,6 +115,19 @@ def test_align_to_target_height(cycle4):
         tree.align(1)
 
 
+def test_align_chains_run_top_first_down_to_the_leaf(cycle4):
+    tree = initial_tree(cycle4)  # leaves 0..3 under root 4
+    tree.compress(0, 1)  # node 5
+    tree.align(tree.height + 2)
+    assert _links(tree) == {
+        0: (7, []), 1: (9, []), 2: (12, []), 3: (15, []),
+        4: (None, [5, 10, 13]),
+        5: (4, [6, 8]), 6: (5, [7]), 7: (6, [0]), 8: (5, [9]), 9: (8, [1]),
+        10: (4, [11]), 11: (10, [12]), 12: (11, [2]),
+        13: (4, [14]), 14: (13, [15]), 15: (14, [3]),
+    }  # fmt: skip
+
+
 def test_merge_replaces_children(bridge_triangles):
     g = bridge_triangles
     tree = initial_tree(g)
@@ -127,6 +154,30 @@ def test_merge_replaces_children(bridge_triangles):
     groups = {tree.nodes[c].subset for c in tree.nodes[tree.root_id].children}
     assert groups == {frozenset({0, 1, 2}), frozenset({3, 4, 5})}
     assert tree.structural_entropy() == pytest.approx(ref_entropy(tree), abs=1e-12)
+
+
+def test_merge_keeps_the_sub_trees_order(bridge_triangles):
+    g = bridge_triangles
+    tree = initial_tree(g)  # leaves 0..5 under root 6
+    sub = CodingTree(g)
+    for v in range(6):
+        sub._alloc(None, frozenset({v}), g.degree[v], g.degree[v])
+    left = sub._alloc(None, frozenset({0, 1, 2}), 7, 1)
+    right = sub._alloc(None, frozenset({3, 4, 5}), 7, 1)
+    root = sub._alloc(None, frozenset(range(6)), g.volume, 0)
+    left.children, right.children = [2, 0, 1], [5, 3, 4]
+    root.children = [right.id, left.id]
+    for m in (left, right):
+        m.parent = root.id
+        for v in m.children:
+            sub.nodes[v].parent = m.id
+    sub.root_id = root.id
+    sub.validate()
+    tree.merge(6, sub)
+    assert _links(tree) == {
+        0: (8, []), 1: (8, []), 2: (8, []), 3: (7, []), 4: (7, []), 5: (7, []),
+        6: (None, [7, 8]), 7: (6, [5, 3, 4]), 8: (6, [2, 0, 1]),
+    }  # fmt: skip
 
 
 def test_merge_rejects_mismatched_leaves(cycle4, bridge_triangles):

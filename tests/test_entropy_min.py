@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 
 import numpy as np
@@ -162,6 +163,35 @@ def test_oracle_height3_on_path():
     assert tree.structural_entropy() == pytest.approx(h, abs=1e-12)
     greedy = build_coding_tree(g, 3).structural_entropy()
     assert h <= greedy + 1e-12
+
+
+def test_oracle_root_children_ascend():
+    # the optimum's blocks come out of set_partitions as [1, 2], [0, 3, 4]
+    g = build_graph(5, [(0, 3), (0, 4), (1, 2), (1, 3), (3, 4)])
+    tree, _ = oracle_min_entropy(g, 2)
+    assert tree.nodes[5].children == [6, 7]
+    assert tree.nodes[6].subset == frozenset({1, 2})
+    assert tree.nodes[6].children == [1, 2]
+    assert tree.nodes[7].children == [0, 3, 4]
+
+
+def _oracle_corpus():
+    rng = np.random.default_rng(1414)
+    return [
+        pytest.param(random_graph(rng, n_min=3 if k == 2 else 4, n_max=8 if k == 2 else 5), k,
+                     id=f"k{k}-{i}")
+        for k, count in ((2, 25), (3, 15))
+        for i in range(count)
+    ]
+
+
+@pytest.mark.parametrize("g,k", _oracle_corpus())
+def test_oracle_tree_scores_its_optimum(g, k):
+    tree, h = oracle_min_entropy(g, k)
+    tree.validate()
+    assert tree.height == k
+    assert tree.structural_entropy() == pytest.approx(h, abs=1e-12)
+    assert tree.entropy_from_scratch() == pytest.approx(h, abs=1e-12)
 
 
 def test_oracle_limits(cycle4):
@@ -341,3 +371,13 @@ def test_large_taxonomy_at_height_three():
     tree.validate()
     assert tree.height == 3
     assert tree.structural_entropy() == pytest.approx(tree.entropy_from_scratch(), abs=1e-9)
+
+
+def test_taxonomy_trees_are_pinned():
+    # gen_hierarchy draws nothing from its seed, so these trees are fixed
+    text = "\n".join(
+        build_coding_tree(hierarchy_to_graph(gen_hierarchy(d, b)), k).to_json()
+        for d, b, k in ((3, 4, 2), (3, 4, 3), (4, 3, 3), (3, 5, 2))
+    )
+    digest = "b40cba31a7c9504ba6f100ca254cd790095e3464e57dbc2d57291457e215a412"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
