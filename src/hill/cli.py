@@ -1,7 +1,7 @@
 """Command-line entry point: entropy, build-tree, oracle, gen-data,
 train, eval. Every subcommand is deterministic; gen-data and train take
 their seed from --seed. Each exits nonzero with a one-line diagnostic on
-any module error. Set HILL_LOG to error|info|debug for verbosity."""
+any module error. HILL_LOG names the logging level (default error)."""
 
 from __future__ import annotations
 
@@ -178,8 +178,13 @@ def build_parser():
 
 
 def main(argv=None):
-    level = os.environ.get("HILL_LOG", "error").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.ERROR), format="%(message)s")
+    name = os.environ.get("HILL_LOG") or "error"
+    level = getattr(logging, name.upper(), None)
+    if not isinstance(level, int):
+        hint = "HILL_LOG must name a logging level such as error, info or debug"
+        print(f"error: {hint}, got {name!r}", file=sys.stderr)
+        return 1
+    logging.basicConfig(level=level, format="%(message)s")
     args = build_parser().parse_args(argv)
     try:
         args.func(args)

@@ -10,8 +10,8 @@ a tree T over graph G:
 
     H(T) = -sum over non-root nodes v of (cut(v) / vol(G)) * log2(vol(v) / vol(parent(v)))
 
-Nodes with zero cut contribute 0. Trees are single-writer; entropy reads
-on distinct trees may run concurrently.
+`entropy_term` gives one node's term, 0 when its cut is 0. Trees are
+single-writer; entropy reads on distinct trees may run concurrently.
 """
 
 from __future__ import annotations
@@ -122,37 +122,23 @@ class CodingTree:
         vol_g = self.graph.volume
         total = 0.0
         for n in self.nodes.values():
-            if n.parent is None or n.cut == 0:
-                continue
-            total -= (n.cut / vol_g) * math.log2(n.volume / self.nodes[n.parent].volume)
+            if n.parent is not None:
+                total += entropy_term(n.cut, n.volume, self.nodes[n.parent].volume, vol_g)
         return total
 
     def entropy_from_scratch(self) -> float:
         """Entropy recomputed from leaf subsets and the graph, ignoring
         every cached volume/cut. Differential-test oracle for the caches."""
-        subsets = {}
-        depth = self.depths()
-        for nid in sorted(self.nodes, key=lambda i: -depth[i]):
+        g, subsets, total = self.graph, {}, 0.0
+        for nid in reversed(self.subtree_ids(self.root_id)):  # children first
             n = self.nodes[nid]
-            if n.is_leaf():
-                subsets[nid] = set(n.subset)
-            else:
-                s = set()
-                for c in n.children:
-                    s |= subsets[c]
-                subsets[nid] = s
-        vol_g = self.graph.volume
-        total = 0.0
+            kids = (subsets[c] for c in n.children)
+            subsets[nid] = n.subset if n.is_leaf() else frozenset().union(*kids)
         for nid, s in subsets.items():
-            n = self.nodes[nid]
-            if n.parent is None:
-                continue
-            cut = cut_size(self.graph, s)
-            if cut == 0:
-                continue
-            total -= (cut / vol_g) * math.log2(
-                subset_volume(self.graph, s) / subset_volume(self.graph, subsets[n.parent])
-            )
+            p = self.nodes[nid].parent
+            if p is not None:
+                vol_p = subset_volume(g, subsets[p])
+                total += entropy_term(cut_size(g, s), subset_volume(g, s), vol_p, g.volume)
         return total
 
     # -- mutators -----------------------------------------------------
@@ -365,6 +351,13 @@ class CodingTree:
     @classmethod
     def from_json(cls, graph: Graph, text: str) -> "CodingTree":
         return cls.from_json_obj(graph, json.loads(text))
+
+
+def entropy_term(cut, vol, parent_vol, vol_g) -> float:
+    """One non-root node's term of H(T): 0.0 when its cut is 0."""
+    if cut == 0:
+        return 0.0
+    return -(cut / vol_g) * math.log2(vol / parent_vol)
 
 
 def _is_id(x) -> bool:

@@ -33,16 +33,10 @@ from __future__ import annotations
 import heapq
 import math
 
-from .coding_tree import CodingTree, initial_tree, star_tree
+from .coding_tree import CodingTree, entropy_term, initial_tree, star_tree
 from .graph import Graph, cross_edges, cut_size, subset_volume
 
 ORACLE_MAX_VERTICES = {2: 8, 3: 5}
-
-
-def _term(cut, vol, parent_vol, vol_g):
-    if cut == 0:
-        return 0.0
-    return -(cut / vol_g) * math.log2(vol / parent_vol)
 
 
 def delta_compress(tree: CodingTree, a_id: int, b_id: int, cross: int | None = None) -> float:
@@ -245,12 +239,12 @@ def _layered_entropy(g: Graph, layers) -> float:
     for block in lowest:
         bvol = subset_volume(g, block)
         for v in block:
-            total += _term(g.degree[v], g.degree[v], bvol, vol_g)
+            total += entropy_term(g.degree[v], g.degree[v], bvol, vol_g)
     for i, layer in enumerate(layers):
         upper = layers[i + 1] if i + 1 < len(layers) else [set(range(g.node_count))]
         for block in layer:
             parent = next(u for u in upper if set(block) <= set(u))
-            total += _term(
+            total += entropy_term(
                 cut_size(g, block), subset_volume(g, block), subset_volume(g, parent), vol_g
             )
     return total

@@ -38,10 +38,9 @@ def build_model(config: HillConfig, hierarchy, vocab=DEFAULT_VOCAB):
     return HillModel(config, vocab, hierarchy.num_labels, tree)
 
 
-def run_training(config: HillConfig, hierarchy, train_docs, dev_docs, vocab=DEFAULT_VOCAB,
-                 report_path=None):
+def run_training(config: HillConfig, hierarchy, train_docs, dev_docs, vocab=DEFAULT_VOCAB):
     model = build_model(config, hierarchy, vocab)
-    report = train(model, train_docs, dev_docs, config, report_path=report_path)
+    report = train(model, train_docs, dev_docs, config)
     return model, report
 
 

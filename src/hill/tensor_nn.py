@@ -37,6 +37,8 @@ import json
 
 import numpy as np
 
+from .graph import prefix_errors
+
 # Adam's moment decay rates and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -204,42 +206,39 @@ def load_checkpoint(params, path):
     """Write each parameter's saved values into it in place. Every entry
     is checked before any parameter is written; a bad file raises
     ValueError naming the file and the parameter."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            blob = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if not isinstance(blob, dict):
-        raise ValueError(f"{path}: checkpoint must be a JSON object")
-    values = [_checkpoint_values(blob, p, path) for p in params]
+    with prefix_errors(path), open(path, encoding="utf-8") as fh:
+        blob = json.load(fh)
+        if not isinstance(blob, dict):
+            raise ValueError("checkpoint must be a JSON object")
+        values = [_checkpoint_values(blob, p) for p in params]
     for p, v in zip(params, values):
         p.value[...] = v
 
 
-def _checkpoint_values(blob, p, path):
+def _checkpoint_values(blob, p):
     if p.name not in blob:
-        raise ValueError(f"{path}: checkpoint missing parameter {p.name}")
+        raise ValueError(f"checkpoint missing parameter {p.name}")
     entry = blob[p.name]
     if not isinstance(entry, dict) or "shape" not in entry or "values" not in entry:
-        raise ValueError(f"{path}: checkpoint entry for {p.name} needs a shape and values")
+        raise ValueError(f"checkpoint entry for {p.name} needs a shape and values")
     shape = entry["shape"]
     # a JSON boolean would compare equal to 0 or 1 and load as a number
     if not isinstance(shape, list) or _has_bool(shape) or tuple(shape) != p.value.shape:
         raise ValueError(
-            f"{path}: checkpoint shape mismatch for {p.name}: {shape} vs {list(p.value.shape)}"
+            f"checkpoint shape mismatch for {p.name}: {shape} vs {list(p.value.shape)}"
         )
     try:
         if _has_bool(entry["values"]):
             raise TypeError("a boolean is not a number")
         values = np.asarray(entry["values"], dtype=np.float64)
     except (TypeError, ValueError):
-        raise ValueError(f"{path}: checkpoint values for {p.name} are not numbers") from None
+        raise ValueError(f"checkpoint values for {p.name} are not numbers") from None
     if values.shape != (p.value.size,):
         raise ValueError(
-            f"{path}: checkpoint values for {p.name} must be a flat list of "
-            f"{p.value.size} numbers, got shape {values.shape}"
+            f"checkpoint values for {p.name} must be a flat list of {p.value.size} numbers, "
+            f"got shape {values.shape}"
         )
-    check_finite(values, f"{path}: checkpoint values for {p.name}")
+    check_finite(values, f"checkpoint values for {p.name}")
     return values.reshape(p.value.shape)
 
 

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import shutil
 
@@ -195,6 +196,34 @@ def test_bad_graph_exits_nonzero(tmp_path, capsys):
     rc = main(["build-tree", "--graph", str(p), "--height", "2"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["verbose", "basic_format"])
+def test_bad_hill_log_exits_before_the_command_runs(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("HILL_LOG", value)
+    out = tmp_path / "data"
+    assert main(["gen-data", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: HILL_LOG must name a logging level such as error, info or debug, "
+        f"got {value!r}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "value,level",
+    [("debug", logging.DEBUG), ("INFO", logging.INFO), ("", logging.ERROR), (None, logging.ERROR)],
+    ids=["debug", "INFO", "empty", "unset"],
+)
+def test_hill_log_names_the_level(bridge_file, capsys, monkeypatch, value, level):
+    if value is None:
+        monkeypatch.delenv("HILL_LOG", raising=False)
+    else:
+        monkeypatch.setenv("HILL_LOG", value)
+    levels = []
+    monkeypatch.setattr(logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
+    assert main(["oracle", "--graph", str(bridge_file), "--height", "2"]) == 0
+    assert levels == [level]
 
 
 @pytest.mark.parametrize(

@@ -119,6 +119,11 @@ def test_gen_corpus_deterministic():
     assert [(x.tokens, x.labels) for x in a] != [(x.tokens, x.labels) for x in c]
 
 
+def test_gen_corpus_rejects_no_documents():
+    with pytest.raises(ValueError, match="at least one document"):
+        gen_corpus(gen_hierarchy(2, 2), 0, 64, seed=0)
+
+
 def test_dataset_round_trip(tmp_path):
     h = gen_hierarchy(2, 2)
     docs = gen_corpus(h, 10, 64, seed=2)
@@ -126,6 +131,12 @@ def test_dataset_round_trip(tmp_path):
     save_dataset(docs, path)
     back = load_dataset(path)
     assert [(x.tokens, x.labels) for x in back] == [(x.tokens, x.labels) for x in docs]
+
+
+def test_load_dataset_skips_blank_lines(tmp_path):
+    p = tmp_path / "docs.jsonl"
+    p.write_text('\n{"tokens": [1], "labels": [2]}\n  \n\n{"labels": [3]}\n', encoding="utf-8")
+    assert [(x.tokens, x.labels) for x in load_dataset(p)] == [([1], [2]), ([], [3])]
 
 
 def test_load_dataset_requires_labels(tmp_path):

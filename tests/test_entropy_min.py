@@ -62,6 +62,8 @@ def test_delta_argument_validation(cycle4):
     tree = initial_tree(cycle4)
     with pytest.raises(ValueError, match="distinct"):
         delta_compress(tree, 1, 1)
+    with pytest.raises(ValueError, match="not siblings"):
+        delta_compress(tree, 0, tree.root_id)
     with pytest.raises(ValueError, match="root"):
         delta_remove(tree, tree.root_id)
     with pytest.raises(ValueError, match="leaf"):

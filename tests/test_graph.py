@@ -28,6 +28,11 @@ def test_build_graph_collapses_duplicates():
     assert len(g.edges) == 1
 
 
+def test_build_graph_rejects_no_vertices():
+    with pytest.raises(ValueError, match="at least one vertex"):
+        build_graph(0, [])
+
+
 def test_build_graph_rejects_self_loop():
     with pytest.raises(ValueError, match="self-loop"):
         build_graph(3, [(0, 1), (2, 2)])

@@ -243,10 +243,10 @@ def test_checkpoint_rejects_bad_entry_before_writing(tmp_path, entry, why):
     assert not params[0].value.any()  # the valid entry before it was not written
 
 
-@pytest.mark.parametrize("text", ["{", "[]"])
-def test_checkpoint_rejects_malformed_file(tmp_path, text):
+@pytest.mark.parametrize("data", [b"{", b"[]", b'{"a": \xff}'])
+def test_checkpoint_rejects_malformed_file(tmp_path, data):
     path = tmp_path / "ckpt.json"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(data)
     with pytest.raises(ValueError, match=re.escape(str(path))):
         tn.load_checkpoint([tn.Parameter("a", np.zeros((1, 1)))], path)
 
