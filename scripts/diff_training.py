@@ -10,7 +10,9 @@ with that config changed to K=3, the `mean` readout and the
 out are checked too. For each run it compares the two `report.jsonl`
 files: dev micro- and macro-F1 must be identical in every epoch and
 train loss within 1e-6 relative. Both sides read this tree's configs.
-Exits 1 on any mismatch. It also prints whether the two
+Exits 1 on any mismatch, and exits 1 before any run if a side's `hill`
+is not imported from that side's `src/hill` (say, an installed copy
+shadows a checkout without one). It also prints whether the two
 `checkpoint.json` files of each run are byte-identical, and each side's
 peak resident set for `hill train` (the child's `ru_maxrss`, read when
 it is reaped); those lines are information only and do not affect the
@@ -47,10 +49,20 @@ def run_hill(cmd, env, log):
     return usage.ru_maxrss / 1024.0  # kilobytes on Linux
 
 
+def check_import(tree, env):
+    """Exit 1 unless `hill` imports from `<tree>/src/hill` under `env`."""
+    cmd = [sys.executable, "-c", "import hill; print(hill.__file__)"]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    found = proc.stdout.strip()
+    if proc.returncode or Path(found).resolve().parent != Path(tree).resolve() / "src" / "hill":
+        sys.exit(f"error: {tree} has no src/hill; hill was imported from {found or 'nowhere'}")
+
+
 def run_reports(tree, workdir, configs):
     """Per config file: (report rows, checkpoint bytes, peak RSS of
     `hill train` in MB), all trained on one generated dataset."""
     env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"), OPENBLAS_NUM_THREADS="1")
+    check_import(tree, env)
     hill = [sys.executable, "-m", "hill.cli"]
     data, log = Path(workdir) / "data", Path(workdir) / "log.txt"
     seed = ["--seed", str(SEED)]

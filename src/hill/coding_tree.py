@@ -256,11 +256,9 @@ class CodingTree:
                 raise ValueError(f"node {n.id}: stale cached cut")
         if root.cut != 0 or root.volume != g.volume:
             raise ValueError("root must mark the whole graph")
-        marked = sorted(min(l.subset) for l in leaves if len(l.subset) == 1)
+        # partitioned from the root, singleton leaves are pairwise disjoint
         if len(leaves) != g.node_count or any(len(l.subset) != 1 for l in leaves):
             raise ValueError("leaves do not biject with graph vertices")
-        if marked != list(range(g.node_count)):
-            raise ValueError("leaves do not cover every graph vertex exactly once")
         if require_uniform_depth:
             depths = {d for nid, d in self.depths().items() if self.nodes[nid].is_leaf()}
             if len(depths) != 1:
@@ -268,9 +266,9 @@ class CodingTree:
 
     # -- serialization ------------------------------------------------
 
-    def to_json_obj(self) -> dict:
+    def to_json(self) -> str:
         """{height, nodes:[...]} with leaves listed first in graph-vertex
-        order, then internal nodes by ascending handle."""
+        order, then internal nodes by ascending handle; keys sorted."""
         leaves = sorted(
             (n for n in self.nodes.values() if n.is_leaf()), key=lambda n: min(n.subset)
         )
@@ -281,16 +279,14 @@ class CodingTree:
             {"id": n.id, "parent": n.parent, "children": list(n.children)}
             for n in leaves + internal
         ]
-        return {"height": self.height, "nodes": nodes}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
+        return json.dumps({"height": self.height, "nodes": nodes}, sort_keys=True)
 
     @classmethod
-    def from_json_obj(cls, graph: Graph, obj) -> "CodingTree":
-        """Tree from the object `to_json_obj` writes; leaves mark graph
-        vertices in the order they are listed. Raises ValueError on any
-        malformed or inconsistent input."""
+    def from_json(cls, graph: Graph, text: str) -> "CodingTree":
+        """Tree from the text `to_json` writes; leaves mark graph vertices
+        in the order they are listed. Raises ValueError on any malformed
+        or inconsistent input."""
+        obj = json.loads(text)
         entries = obj.get("nodes") if isinstance(obj, dict) else None
         if not isinstance(entries, list):
             raise ValueError("tree JSON must be an object with a 'nodes' list")
@@ -347,10 +343,6 @@ class CodingTree:
             n.cut = cut_size(graph, n.subset)
         tree.validate()
         return tree
-
-    @classmethod
-    def from_json(cls, graph: Graph, text: str) -> "CodingTree":
-        return cls.from_json_obj(graph, json.loads(text))
 
 
 def entropy_term(cut, vol, parent_vol, vol_g) -> float:

@@ -38,6 +38,8 @@ class LabelHierarchy:
 
     def __post_init__(self):
         n = len(self.names)
+        if n == 0:
+            raise ValueError("a label hierarchy needs its root, label 0")
         if set(self.parent) != set(range(1, n)):
             raise ValueError("every non-root label needs exactly one parent")
         for child, par in self.parent.items():
@@ -164,8 +166,6 @@ def gen_corpus(h: LabelHierarchy, n_docs: int, vocab_size: int, seed: int):
     if vocab_size < 1:
         raise ValueError(f"vocabulary size must be at least 1, got {vocab_size}")
     leaves = h.leaves()
-    if not leaves:
-        raise ValueError("hierarchy has no leaves")
     rng = np.random.default_rng(seed)
     docs = []
     for _ in range(n_docs):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from itertools import islice
 
@@ -469,12 +470,18 @@ def refuse_empty_docs(examples, config: HillConfig):
 def train(model: HillModel, train_examples, dev_examples, config: HillConfig, report_path=None):
     """Minibatch training with Adam; per-epoch loss and dev Micro/Macro-F1.
 
+    `config` must equal `model.config` in every field but `epochs`, so the
+    loss the model computes and the batching here agree on lambda_clr.
     Encoder parameters step at lr_encoder, everything else at
     lr_structure. Deterministic under config.seed. Every id of both lists
     is checked before the first step; the dense count and label arrays
     are built per batch, and dev predictions run in batch_size slices,
     so memory grows with the batch, not with the corpus.
     """
+    ours = asdict(model.config)
+    differ = [k for k, v in asdict(config).items() if k != "epochs" and v != ours[k]]
+    if differ:
+        raise ValueError(f"config differs from model.config in {', '.join(differ)}")
     vocab, num_labels, bs = model.encoder.vocab_size, model.num_labels, config.batch_size
     check_ids(train_examples, vocab, num_labels)
     check_ids(dev_examples, vocab, num_labels)
@@ -485,8 +492,7 @@ def train(model: HillModel, train_examples, dev_examples, config: HillConfig, re
     rng = np.random.default_rng(config.seed)
     n = len(train_examples)
     report = []
-    out = open(report_path, "w", encoding="utf-8") if report_path else None
-    try:
+    with open(report_path, "w", encoding="utf-8") if report_path else nullcontext() as out:
         for epoch in range(1, config.epochs + 1):
             perm = rng.permutation(n)
             batches = [perm[i : i + bs] for i in range(0, n, bs)]
@@ -515,7 +521,4 @@ def train(model: HillModel, train_examples, dev_examples, config: HillConfig, re
             if out:
                 out.write(json.dumps(row, sort_keys=True) + "\n")
                 out.flush()
-    finally:
-        if out:
-            out.close()
     return report

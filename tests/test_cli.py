@@ -500,7 +500,7 @@ def test_eval_rejects_bad_label_count(tmp_path, capsys, labels):
 
 # -- malformed tree JSON through `hill entropy` -------------------------
 
-_CYCLE4_TREE = initial_tree(load_graph(CYCLE4)).to_json_obj()["nodes"]
+_CYCLE4_TREE = json.loads(initial_tree(load_graph(CYCLE4)).to_json())["nodes"]
 _json = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 9) | st.floats() | st.text(max_size=3),
     lambda inner: (

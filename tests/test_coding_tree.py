@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -241,7 +242,8 @@ def test_from_json_rejects_wrong_leaf_count(cycle4):
 
 def _cycle4_nodes():
     """initial_tree(cycle4) as JSON: leaves 0-3 under root 4."""
-    return initial_tree(build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])).to_json_obj()["nodes"]
+    tree = initial_tree(build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+    return json.loads(tree.to_json())["nodes"]
 
 
 def _with(nodes, node_id, **fields):
@@ -272,7 +274,7 @@ def _with(nodes, node_id, **fields):
 )
 def test_from_json_rejects_malformed_input(cycle4, obj):
     with pytest.raises(ValueError):
-        CodingTree.from_json_obj(cycle4, obj)
+        CodingTree.from_json(cycle4, json.dumps(obj))
 
 
 def test_validate_catches_stale_cache(cycle4):
@@ -392,6 +394,6 @@ def test_merge_rejects_a_sub_tree_deeper_than_two(bridge_triangles):
 def test_from_json_rejects_extra_leaves_and_rootless_trees(cycle4):
     five = initial_tree(build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]))
     with pytest.raises(ValueError, match="more leaves than graph vertices"):
-        CodingTree.from_json_obj(cycle4, five.to_json_obj())
+        CodingTree.from_json(cycle4, five.to_json())
     with pytest.raises(ValueError, match="expected exactly one root, found 0"):
-        CodingTree.from_json_obj(cycle4, {"nodes": _with(_cycle4_nodes(), 4, parent=0)})
+        CodingTree.from_json(cycle4, json.dumps({"nodes": _with(_cycle4_nodes(), 4, parent=0)}))

@@ -42,6 +42,8 @@ def test_gen_hierarchy_argument_checks():
 
 
 def test_hierarchy_validation():
+    with pytest.raises(ValueError, match="needs its root"):
+        LabelHierarchy(names=[], parent={})
     with pytest.raises(ValueError, match="exactly one parent"):
         LabelHierarchy(names=["root", "a", "b"], parent={1: 0})
     with pytest.raises(ValueError, match="out of range"):

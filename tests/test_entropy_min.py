@@ -1,5 +1,6 @@
 import hashlib
 import heapq
+import json
 
 import numpy as np
 import pytest
@@ -238,7 +239,7 @@ def _two_groups(g, left):
         {"id": g_right, "parent": root, "children": sorted(set(range(n)) - set(left))},
         {"id": root, "parent": None, "children": [g_left, g_right]},
     ]
-    return CodingTree.from_json_obj(g, {"nodes": nodes})
+    return CodingTree.from_json(g, json.dumps({"nodes": nodes}))
 
 
 def _first_compress(monkeypatch, tree, v_id):

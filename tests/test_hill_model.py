@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -475,6 +476,23 @@ def test_train_handles_trailing_singleton_batch():
     docs = docs + [docs[0]]
     report = train(model, docs, [], config)
     assert "dev_micro_f1" not in report[0]
+
+
+def test_train_refuses_a_config_other_than_the_models():
+    # the model's NT-Xent reads its own lambda_clr, so a lambda_clr=0 config
+    # would leave the 13th doc unmerged and die mid-epoch on a 1-doc batch
+    h, config, model, docs, _, _ = small_setup(seed=13)
+    before = [p.value.copy() for p in model.parameters()]
+    refusals = [({"lambda_clr": 0.0}, "lambda_clr"), ({"tau": 0.5, "seed": 9}, "tau, seed")]
+    for other, names in refusals:
+        with pytest.raises(ValueError, match=f"^config differs from model.config in {names}$"):
+            train(model, docs + [docs[0]], [], replace(config, epochs=1, **other))
+    assert all((p.value == v).all() for p, v in zip(model.parameters(), before))
+
+
+def test_train_takes_epochs_from_its_config():
+    h, config, model, docs, _, _ = small_setup(seed=13)
+    assert len(train(model, docs, [], replace(config, epochs=1))) == 1
 
 
 def test_train_rejects_empty_training_set():
