@@ -108,6 +108,15 @@ class CodingTree:
             stack.extend(self.nodes[nid].children)
         return out
 
+    def _leaf_unions(self) -> dict:
+        """{node id: union of the leaf subsets below it}, children first."""
+        unions = {}
+        for nid in reversed(self.subtree_ids(self.root_id)):
+            n = self.nodes[nid]
+            kids = (unions[c] for c in n.children)
+            unions[nid] = n.subset if n.is_leaf() else frozenset().union(*kids)
+        return unions
+
     def layer(self, k: int):
         """Node ids at layer k, where layer 0 is the leaves and layer
         height is the root. Requires uniform leaf depth."""
@@ -129,11 +138,7 @@ class CodingTree:
     def entropy_from_scratch(self) -> float:
         """Entropy recomputed from leaf subsets and the graph, ignoring
         every cached volume/cut. Differential-test oracle for the caches."""
-        g, subsets, total = self.graph, {}, 0.0
-        for nid in reversed(self.subtree_ids(self.root_id)):  # children first
-            n = self.nodes[nid]
-            kids = (subsets[c] for c in n.children)
-            subsets[nid] = n.subset if n.is_leaf() else frozenset().union(*kids)
+        g, subsets, total = self.graph, self._leaf_unions(), 0.0
         for nid, s in subsets.items():
             p = self.nodes[nid].parent
             if p is not None:
@@ -333,14 +338,9 @@ class CodingTree:
                     )
         tree.root_id = roots[0]
         tree._next_id = max(tree.nodes) + 1
-        # subsets and caches bottom-up
-        for nid in reversed(tree.subtree_ids(tree.root_id)):
+        for nid, s in tree._leaf_unions().items():
             n = tree.nodes[nid]
-            if not n.is_leaf():
-                s = frozenset().union(*(tree.nodes[c].subset for c in n.children))
-                n.subset = s
-            n.volume = subset_volume(graph, n.subset)
-            n.cut = cut_size(graph, n.subset)
+            n.subset, n.volume, n.cut = s, subset_volume(graph, s), cut_size(graph, s)
         tree.validate()
         return tree
 

@@ -43,15 +43,11 @@ def delta_compress(tree: CodingTree, a_id: int, b_id: int, cross: int | None = N
     """Entropy change of compress(a, b):
     (2 * cross(a, b) / vol G) * log2((vol a + vol b) / vol parent).
 
-    Exactly 0.0 when a and b share no edge. `cross` is the number of
-    edges between a and b when the caller already knows it; otherwise it
-    is counted from the graph.
+    Scores distinct siblings only; `compress` raises on any other pair.
+    Exactly 0.0 when a and b share no edge. `cross` is their edge count
+    if the caller knows it; otherwise it is counted from the graph.
     """
-    if a_id == b_id:
-        raise ValueError("compress needs two distinct nodes")
     a, b = tree.nodes[a_id], tree.nodes[b_id]
-    if a.parent is None or a.parent != b.parent:
-        raise ValueError(f"nodes {a_id} and {b_id} are not siblings")
     if cross is None:
         cross = cross_edges(tree.graph, a.subset, b.subset)
     if cross == 0:
@@ -61,13 +57,9 @@ def delta_compress(tree: CodingTree, a_id: int, b_id: int, cross: int | None = N
 
 
 def delta_remove(tree: CodingTree, v_id: int) -> float:
-    """Entropy change of remove_node(v):
+    """Entropy change of remove_node(v), v non-root and internal (`remove_node` raises on others):
     ((sum of cut(children) - cut(v)) / vol G) * log2(vol parent / vol v)."""
     v = tree.nodes[v_id]
-    if v.parent is None:
-        raise ValueError("cannot remove the root")
-    if v.is_leaf():
-        raise ValueError(f"cannot remove leaf {v_id}")
     inner = sum(tree.nodes[c].cut for c in v.children) - v.cut
     parent_vol = tree.nodes[v.parent].volume
     return (inner / tree.graph.volume) * math.log2(parent_vol / v.volume)
@@ -235,8 +227,7 @@ def _layered_entropy(g: Graph, layers) -> float:
     vol_g = g.volume
     total = 0.0
     # leaf terms against their immediate enclosing block
-    lowest = layers[0] if layers else [set(range(g.node_count))]
-    for block in lowest:
+    for block in layers[0]:
         bvol = subset_volume(g, block)
         for v in block:
             total += entropy_term(g.degree[v], g.degree[v], bvol, vol_g)

@@ -91,13 +91,13 @@ def load_graph_file(path) -> Graph:
 
 @contextmanager
 def prefix_errors(prefix):
-    """Re-raise any ValueError from the body, undecodable text and bad
-    JSON included, as ValueError(f"{prefix}: {message}"). Input readers
-    wrap a file's parse in it to name the file, and a line in it to name
-    the line."""
+    """Re-raise any ValueError from the body (undecodable text, bad JSON)
+    or RecursionError (JSON nested too deeply) as ValueError(f"{prefix}:
+    {message}"). Input readers wrap a file's parse in it to name the
+    file, and a line in it to name the line."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{prefix}: {exc}") from None
 
 

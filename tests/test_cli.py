@@ -642,6 +642,45 @@ def test_input_errors_name_the_file(tmp_path, capsys, cycle4_file, command, cont
     assert len(err) == 1 and err[0].startswith(f"error: {bad}: {why}")
 
 
+DEEP_JSON = "[" * 100_000 + "]" * 100_000  # deeper than any recursion limit
+
+
+@pytest.mark.parametrize(
+    "command,name,content,where",
+    [
+        ("entropy", "tree.json", DEEP_JSON, ""),
+        ("train", "config.json", DEEP_JSON, ""),
+        ("train", "meta.json", DEEP_JSON, ""),
+        ("train", "train.jsonl", '{"tokens": [1], "labels": [1]}\n' + DEEP_JSON + "\n", "line 2: "),
+        ("eval", "pred.jsonl", DEEP_JSON + "\n", "line 1: "),
+    ],
+    ids=["tree", "config", "meta", "dataset-line", "pred-line"],
+)
+def test_deeply_nested_json_is_one_error_line(
+    tmp_path, capsys, cycle4_file, tiny_data, command, name, content, where
+):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_data, data)
+    bad = (data if name in ("meta.json", "train.jsonl") else tmp_path) / name
+    bad.write_text(content, encoding="utf-8")
+    out = tmp_path / "run"
+    argv = {
+        "entropy": ["entropy", "--graph", str(cycle4_file), "--tree", str(bad)],
+        "train": ["train", "--data", str(data), "--out", str(out)],
+        "eval": ["eval", "--pred", str(bad), "--gold", str(data / "dev.jsonl")],
+    }[command]
+    if name == "config.json":
+        argv += ["--config", str(bad)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: {where}")
+    assert "recursion" in lines[0]
+    assert not out.exists()
+
+
 _GRAPH_BREAKS = ("fields", "token", "negative", "self-loop", "isolated", "empty", "utf-8")
 
 

@@ -59,18 +59,6 @@ def test_deltas_match_on_random_graphs(seed):
     assert tree.structural_entropy() - mid == pytest.approx(dr, abs=1e-12)
 
 
-def test_delta_argument_validation(cycle4):
-    tree = initial_tree(cycle4)
-    with pytest.raises(ValueError, match="distinct"):
-        delta_compress(tree, 1, 1)
-    with pytest.raises(ValueError, match="not siblings"):
-        delta_compress(tree, 0, tree.root_id)
-    with pytest.raises(ValueError, match="root"):
-        delta_remove(tree, tree.root_id)
-    with pytest.raises(ValueError, match="leaf"):
-        delta_remove(tree, 0)
-
-
 def test_build_two_level_shape(bridge_triangles):
     tree = initial_tree(bridge_triangles)
     sub = build_two_level(tree, tree.root_id)

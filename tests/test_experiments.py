@@ -1,10 +1,17 @@
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from hill import experiments
 from hill.datagen import Example
 from hill.hill_model import HillConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_lambda_comparison_rows_are_the_runs_final_macro_f1():
@@ -32,3 +39,25 @@ def test_run_training_refuses_empty_doc_only_for_contrastive_training(lambda_clr
     else:
         _, report = experiments.run_training(config, hierarchy, train_docs, dev_docs, 64)
         assert len(report) == 1
+
+
+def run_script(name, *args):
+    """The script's one stdout JSON row, run against this checkout's src."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    cmd = [sys.executable, str(ROOT / "scripts" / name), *args]
+    proc = subprocess.run(
+        cmd, capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path}
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1, lines
+    return json.loads(lines[0])
+
+
+def test_experiment_scripts_train_the_same_default_run():
+    # both recipes train the default config at seed 42, one epoch, lambda 0.1
+    sweep = run_script("k_sweep.py", "--ks", "2", "--epochs", "1")
+    assert set(sweep) == {"K", "dev_micro_f1", "dev_macro_f1"} and sweep["K"] == 2
+    lam = run_script("lambda_comparison.py", "--seeds", "42", "--epochs", "1")
+    assert set(lam) == {"seed", "macro_with_clr", "macro_without_clr"} and lam["seed"] == 42
+    assert sweep["dev_macro_f1"] == lam["macro_with_clr"]

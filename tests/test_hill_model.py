@@ -230,10 +230,19 @@ def test_structure_encoder_rejects_unknown_eta():
         StructureEncoder(tree, d_v=3, eta="max", rng=np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("eta", ["sum", "mean"])
-def test_structure_encoder_gradients(eta):
+@pytest.mark.parametrize(
+    "eta,k",
+    [
+        pytest.param("sum", 2, id="sum"),
+        pytest.param("mean", 2, id="mean"),
+        # 7 labels at K=3: levels of 3, 2 and 1 nodes, so agg[1] is not all ones
+        pytest.param("sum", 3, id="sum-k3"),
+        pytest.param("mean", 3, id="mean-k3"),
+    ],
+)
+def test_structure_encoder_gradients(eta, k):
     h = gen_hierarchy(2, 2, 0)
-    tree = build_coding_tree(hierarchy_to_graph(h), 2)
+    tree = build_coding_tree(hierarchy_to_graph(h), k)
     rng = np.random.default_rng(6)
     enc = StructureEncoder(tree, d_v=3, eta=eta, rng=rng)
     s1 = enc.agg[0]
@@ -376,9 +385,17 @@ def test_loss_parts_compose():
     assert loss == pytest.approx(parts["bce"] + 0.3 * parts["ntxent"])
 
 
-@pytest.mark.parametrize("eta,form", [("sum", "simclr"), ("mean", "paper_literal")])
-def test_end_to_end_gradients(eta, form):
-    _, _, model, _, counts, y = small_setup(lambda_clr=0.3, eta=eta, ntxent_form=form)
+@pytest.mark.parametrize(
+    "eta,form,k",
+    [
+        pytest.param("sum", "simclr", 2, id="sum-simclr"),
+        pytest.param("mean", "paper_literal", 2, id="mean-paper_literal"),
+        pytest.param("sum", "simclr", 3, id="sum-simclr-k3"),
+        pytest.param("mean", "paper_literal", 3, id="mean-paper_literal-k3"),
+    ],
+)
+def test_end_to_end_gradients(eta, form, k):
+    _, _, model, _, counts, y = small_setup(lambda_clr=0.3, k=k, eta=eta, ntxent_form=form)
     cb, yb = counts[:4], y[:4]
     model.zero_grad()
     _, _, ctx = model.forward_batch(cb, yb)

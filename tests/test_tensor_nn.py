@@ -243,7 +243,10 @@ def test_checkpoint_rejects_bad_entry_before_writing(tmp_path, entry, why):
     assert not params[0].value.any()  # the valid entry before it was not written
 
 
-@pytest.mark.parametrize("data", [b"{", b"[]", b'{"a": \xff}'])
+@pytest.mark.parametrize(
+    "data",
+    [b"{", b"[]", b'{"a": \xff}', pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested-too-deep")],
+)
 def test_checkpoint_rejects_malformed_file(tmp_path, data):
     path = tmp_path / "ckpt.json"
     path.write_bytes(data)
