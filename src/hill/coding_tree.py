@@ -1,5 +1,6 @@
 """Coding trees over a graph, the four tree surgeries (compress, remove,
-align, merge), validity checking, and structural entropy in bits.
+align, and merge, which puts one new node over each listed group of a
+node's children), validity checking, and structural entropy in bits.
 
 A coding tree is a rooted tree whose leaves biject with the graph's
 vertices; every node marks the vertex subset under it, and caches that
@@ -191,35 +192,23 @@ class CodingTree:
             for _ in range(target_height - depth[leaf_id]):
                 self._insert_above([leaf_id], leaf.subset, leaf.volume, leaf.cut)
 
-    def merge(self, at_id: int, sub: "CodingTree") -> None:
-        """Replace the children of `at` with the middle layer of the
-        height-2 tree `sub`, whose leaves must mark exactly the subsets
-        of `at`'s current children."""
+    def merge(self, at_id: int, groups) -> None:
+        """Replace the children of `at` with one new node per group, in
+        the groups' order; each node adopts its group's children in the
+        listed order. Every group must be non-empty, and together they
+        must list each child of `at` exactly once."""
         at = self.nodes[at_id]
-        if sub.nodes[sub.root_id].subset != at.subset:
-            raise ValueError("sub-tree root marks a different subset than the merge point")
-        by_subset = {self.nodes[c].subset: c for c in at.children}
-        sub_root = sub.nodes[sub.root_id]
-        sub_leaf_subsets = set()
-        for m_id in sub_root.children:
-            for l_id in sub.nodes[m_id].children:
-                leaf = sub.nodes[l_id]
-                if not leaf.is_leaf():
-                    raise ValueError("sub-tree is not height 2")
-                sub_leaf_subsets.add(leaf.subset)
-        if sub_leaf_subsets != set(by_subset):
-            raise ValueError("sub-tree leaves do not match the merge point's children")
+        if not all(groups) or sorted(c for kids in groups for c in kids) != sorted(at.children):
+            raise ValueError(f"groups must split node {at_id}'s children into non-empty lists")
         new_children = []
-        for m_id in sub_root.children:
-            m = sub.nodes[m_id]
-            group = self._alloc(at_id, m.subset, m.volume, m.cut)
-            kids = []
-            for l_id in m.children:
-                orig = by_subset[sub.nodes[l_id].subset]
-                kids.append(orig)
-                self.nodes[orig].parent = group.id
-            group.children = kids
-            new_children.append(group.id)
+        for kids in groups:
+            subset = frozenset().union(*(self.nodes[c].subset for c in kids))
+            volume = sum(self.nodes[c].volume for c in kids)
+            node = self._alloc(at_id, subset, volume, cut_size(self.graph, subset))
+            node.children = list(kids)
+            for c in kids:
+                self.nodes[c].parent = node.id
+            new_children.append(node.id)
         at.children = new_children
 
     # -- validation ---------------------------------------------------
@@ -232,18 +221,21 @@ class CodingTree:
         root = self.nodes[self.root_id]
         if root.parent is not None:
             raise ValueError("root must have no parent")
-        seen = set()
-        for nid in self.subtree_ids(self.root_id):
+        seen, stack = set(), [self.root_id]
+        while stack:  # each node is entered once, so a cycle ends the walk too
+            nid = stack.pop()
             if nid in seen:
                 raise ValueError(f"node {nid} reachable twice")
+            if nid not in self.nodes:
+                raise ValueError(f"child {nid} is not a node")
             seen.add(nid)
+            stack.extend(self.nodes[nid].children)
         if seen != set(self.nodes):
             raise ValueError("nodes unreachable from the root")
         leaves = []
         for n in self.nodes.values():
             if n.parent is not None:
-                p = self.nodes[n.parent]
-                if n.id not in p.children:
+                if n.parent not in self.nodes or n.id not in self.nodes[n.parent].children:
                     raise ValueError(f"node {n.id} missing from parent's child list")
             if n.is_leaf():
                 leaves.append(n)

@@ -65,15 +65,6 @@ def delta_remove(tree: CodingTree, v_id: int) -> float:
     return (inner / tree.graph.volume) * math.log2(parent_vol / v.volume)
 
 
-def _sub_tree_over_children(tree: CodingTree, v_id: int) -> CodingTree:
-    """Scratch tree rooted at a copy of v whose leaves copy v's children,
-    keyed by marked subset (what merge matches on)."""
-    v = tree.nodes[v_id]
-    kids = [tree.nodes[c] for c in sorted(v.children)]
-    leaves = [(c.subset, c.volume, c.cut) for c in kids]
-    return star_tree(tree.graph, leaves, (v.subset, v.volume, v.cut))
-
-
 def _sibling_graph(sub: CodingTree) -> dict:
     """{child id: {adjacent sibling id: cross-edge count}} over the root's
     children, counted once from the graph's adjacency."""
@@ -166,16 +157,20 @@ def _remove_to_height_two(sub: CodingTree) -> None:
             rescore(parent)
 
 
-def build_two_level(tree: CodingTree, v_id: int) -> CodingTree:
-    """Two-level sub-tree over v's children: greedy pair compression,
-    then minimum-increase deletion down to height 2, then align."""
-    if tree.nodes[v_id].is_leaf():
+def build_two_level(tree: CodingTree, v_id: int) -> list:
+    """v's children in ordered groups for `merge`: on a star whose leaf i is v's
+    i-th smallest child, greedy pair compression, then least-increase deletion to height 2."""
+    v = tree.nodes[v_id]
+    if v.is_leaf():
         raise ValueError(f"node {v_id} is a leaf")
-    sub = _sub_tree_over_children(tree, v_id)
+    kids = sorted(v.children)
+    leaves = [(tree.nodes[c].subset, tree.nodes[c].volume, tree.nodes[c].cut) for c in kids]
+    sub = star_tree(tree.graph, leaves, (v.subset, v.volume, v.cut))
     _compress_to_binary(sub)
     _remove_to_height_two(sub)
-    sub.align(2)
-    return sub
+    # a leaf child of the root is a group of one; no internal node sits deeper
+    top = sub.nodes[sub.root_id].children
+    return [[kids[j] for j in sub.nodes[m].children or [m]] for m in top]
 
 
 def build_coding_tree(g: Graph, k: int) -> CodingTree:

@@ -11,7 +11,7 @@ a1 = S1 x0, the level-1 sums of the leaf features x0[b, y] = scale[y] z[b]
 from __future__ import annotations
 
 import json
-import math
+import sys
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from itertools import islice
@@ -54,10 +54,11 @@ class HillConfig:
         for name, low in (("d_B", 1), ("d_V", 1), ("epochs", 1), ("batch_size", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        # an int past the largest float is refused here, as float() would overflow on it
         for name in ("tau", "lr_encoder", "lr_structure"):
-            if not 0 < getattr(self, name) < math.inf:
+            if not 0 < getattr(self, name) <= sys.float_info.max:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if not 0 <= self.lambda_clr < math.inf:
+        if not 0 <= self.lambda_clr <= sys.float_info.max:
             raise ValueError(f"lambda_clr must be non-negative and finite, got {self.lambda_clr}")
         if self.lambda_clr > 0 and self.batch_size < 2:  # NT-Xent needs in-batch negatives
             raise ValueError(

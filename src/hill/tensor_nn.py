@@ -222,17 +222,20 @@ def _checkpoint_values(blob, p):
     if not isinstance(entry, dict) or "shape" not in entry or "values" not in entry:
         raise ValueError(f"checkpoint entry for {p.name} needs a shape and values")
     shape = entry["shape"]
-    # a JSON boolean would compare equal to 0 or 1 and load as a number
-    if not isinstance(shape, list) or _has_bool(shape) or tuple(shape) != p.value.shape:
+    # a JSON boolean would compare equal to 0 or 1, and numpy would parse a
+    # JSON string such as "1.5", so both load as numbers unless refused
+    if not isinstance(shape, list) or _has_non_number(shape) or tuple(shape) != p.value.shape:
         raise ValueError(
             f"checkpoint shape mismatch for {p.name}: {shape} vs {list(p.value.shape)}"
         )
     try:
-        if _has_bool(entry["values"]):
-            raise TypeError("a boolean is not a number")
+        if _has_non_number(entry["values"]):
+            raise TypeError("a boolean or a string is not a number")
         values = np.asarray(entry["values"], dtype=np.float64)
     except (TypeError, ValueError):
         raise ValueError(f"checkpoint values for {p.name} are not numbers") from None
+    except OverflowError:
+        raise ValueError(f"checkpoint values for {p.name} exceed the float64 range") from None
     if values.shape != (p.value.size,):
         raise ValueError(
             f"checkpoint values for {p.name} must be a flat list of {p.value.size} numbers, "
@@ -242,10 +245,10 @@ def _checkpoint_values(blob, p):
     return values.reshape(p.value.shape)
 
 
-def _has_bool(x):
-    """A JSON boolean, or a list holding one at its top level; nested
-    lists are refused by the shape checks anyway."""
-    return isinstance(x, bool) or (isinstance(x, list) and bool in map(type, x))
+def _has_non_number(x):
+    """A JSON boolean or string, or a list holding one at its top level;
+    nested lists are refused by the shape checks anyway."""
+    return any(isinstance(v, (bool, str)) for v in (x if isinstance(x, list) else [x]))
 
 
 # -- gradient checking -----------------------------------------------

@@ -279,6 +279,18 @@ def tiny_data(tmp_path_factory):
         ('{"lambda_clr": -5}', "lambda_clr must be non-negative and finite"),
         ('{"lambda_clr": NaN}', "lambda_clr must be non-negative and finite"),
         ('{"lambda_clr": Infinity}', "lambda_clr must be non-negative and finite"),
+        # an int past the largest float, which float() cannot convert
+        *(
+            pytest.param(
+                f'{{"{name}": 1{"0" * 400}}}', f"{name} must be {rule}", id=f"{name}-10**400"
+            )
+            for name, rule in (
+                ("tau", "positive and finite"),
+                ("lambda_clr", "non-negative and finite"),
+                ("lr_encoder", "positive and finite"),
+                ("lr_structure", "positive and finite"),
+            )
+        ),
     ],
 )
 def test_train_rejects_bad_config(tmp_path, capsys, tiny_data, text, why):

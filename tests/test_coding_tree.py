@@ -130,26 +130,9 @@ def test_align_chains_run_top_first_down_to_the_leaf(cycle4):
 
 
 def test_merge_replaces_children(bridge_triangles):
-    g = bridge_triangles
-    tree = initial_tree(g)
-    # height-2 sub tree splitting the vertices into the two triangles
-    sub = CodingTree(g)
-    for v in range(6):
-        sub._alloc(None, frozenset({v}), g.degree[v], g.degree[v])
-    left = sub._alloc(None, frozenset({0, 1, 2}), 7, 1)
-    right = sub._alloc(None, frozenset({3, 4, 5}), 7, 1)
-    root = sub._alloc(None, frozenset(range(6)), g.volume, 0)
-    left.children, right.children = [0, 1, 2], [3, 4, 5]
-    root.children = [left.id, right.id]
-    for v in range(3):
-        sub.nodes[v].parent = left.id
-    for v in range(3, 6):
-        sub.nodes[v].parent = right.id
-    left.parent = right.parent = root.id
-    sub.root_id = root.id
-    sub.validate()
-
-    tree.merge(tree.root_id, sub)
+    tree = initial_tree(bridge_triangles)
+    # split the vertices into the two triangles
+    tree.merge(tree.root_id, [[0, 1, 2], [3, 4, 5]])
     tree.validate()
     assert tree.height == 2
     groups = {tree.nodes[c].subset for c in tree.nodes[tree.root_id].children}
@@ -158,39 +141,30 @@ def test_merge_replaces_children(bridge_triangles):
 
 
 def test_merge_keeps_the_sub_trees_order(bridge_triangles):
-    g = bridge_triangles
-    tree = initial_tree(g)  # leaves 0..5 under root 6
-    sub = CodingTree(g)
-    for v in range(6):
-        sub._alloc(None, frozenset({v}), g.degree[v], g.degree[v])
-    left = sub._alloc(None, frozenset({0, 1, 2}), 7, 1)
-    right = sub._alloc(None, frozenset({3, 4, 5}), 7, 1)
-    root = sub._alloc(None, frozenset(range(6)), g.volume, 0)
-    left.children, right.children = [2, 0, 1], [5, 3, 4]
-    root.children = [right.id, left.id]
-    for m in (left, right):
-        m.parent = root.id
-        for v in m.children:
-            sub.nodes[v].parent = m.id
-    sub.root_id = root.id
-    sub.validate()
-    tree.merge(6, sub)
+    tree = initial_tree(bridge_triangles)  # leaves 0..5 under root 6
+    tree.merge(6, [[5, 3, 4], [2, 0, 1]])
     assert _links(tree) == {
         0: (8, []), 1: (8, []), 2: (8, []), 3: (7, []), 4: (7, []), 5: (7, []),
         6: (None, [7, 8]), 7: (6, [5, 3, 4]), 8: (6, [2, 0, 1]),
     }  # fmt: skip
 
 
-def test_merge_rejects_mismatched_leaves(cycle4, bridge_triangles):
-    tree = initial_tree(bridge_triangles)
-    other = initial_tree(bridge_triangles)
-    other.compress(0, 1)
-    other.align(2)
-    # other's root subset matches but its leaves are singletons grouped
-    # differently than tree's children after a compress
-    tree.compress(0, 2)
-    with pytest.raises(ValueError, match="do not match"):
-        tree.merge(tree.root_id, other)
+@pytest.mark.parametrize(
+    "groups",
+    [
+        [[0, 1, 2], [], [3, 4, 5]],
+        [[0, 1], [3, 4, 5]],
+        [[0, 1, 2], [2, 3, 4, 5]],
+        [[0, 1, 6], [3, 4, 5]],
+    ],
+    ids=["empty-group", "missing-child", "child-twice", "not-a-child"],
+)
+def test_merge_refuses_groups_that_do_not_split_the_children(bridge_triangles, groups):
+    tree = initial_tree(bridge_triangles)  # leaves 0..5 under root 6
+    before = tree.to_json()
+    with pytest.raises(ValueError, match="groups must split node 6's children"):
+        tree.merge(6, groups)
+    assert tree.to_json() == before
 
 
 def test_layer_indexing(bridge_triangles):
@@ -303,16 +277,20 @@ def _collapse(tree, nid):
 
 
 # Each corruption gets (tree, root, a, b): a greedy K=2 tree over two
-# triangles, whose root has the two triangles a and b as children.
+# triangles, whose root 6 has the two triangles a = 7 and b = 8 as
+# children; 9 is the first free id.
 _CORRUPTIONS = {
     "missing-root": (lambda t, r, a, b: setattr(t, "root_id", max(t.nodes) + 1), "missing root"),
     "root-parent": (lambda t, r, a, b: setattr(r, "parent", a.id), "root must have no parent"),
     "reached-twice": (lambda t, r, a, b: r.children.append(a.id), "reachable twice"),
+    "cycle": (lambda t, r, a, b: a.children.append(r.id), "node 6 reachable twice"),
+    "dangling-child": (lambda t, r, a, b: a.children.append(9), "child 9 is not a node"),
     "unreachable": (lambda t, r, a, b: a.children.pop(), "unreachable from the root"),
     "not-in-parent-list": (
         lambda t, r, a, b: setattr(t.nodes[a.children[0]], "parent", b.id),
         "missing from parent's child list",
     ),
+    "dangling-parent": (lambda t, r, a, b: setattr(a, "parent", 9), "node 7 missing from parent"),
     "not-a-partition": (
         lambda t, r, a, b: _move_leaf(t, a.children[0], b.id),
         "children do not partition its subset",
@@ -369,26 +347,6 @@ def test_random_surgeries_keep_tree_coherent(seed, data):
         tree.validate(require_uniform_depth=False)
         assert tree.depths() == {nid: _hops_to_root(tree, nid) for nid in tree.nodes}
         assert tree.structural_entropy() == pytest.approx(tree.entropy_from_scratch(), abs=1e-9)
-
-
-def test_merge_rejects_a_sub_tree_over_another_subset(bridge_triangles):
-    tree = initial_tree(bridge_triangles)
-    pair = tree.compress(0, 1)
-    sub = initial_tree(bridge_triangles)
-    sub.compress(0, 1)
-    sub.align(2)
-    with pytest.raises(ValueError, match="sub-tree root marks a different subset"):
-        tree.merge(pair, sub)
-
-
-def test_merge_rejects_a_sub_tree_deeper_than_two(bridge_triangles):
-    tree = initial_tree(bridge_triangles)
-    sub = initial_tree(bridge_triangles)
-    sub.compress(sub.compress(0, 1), 2)
-    sub.align()
-    assert sub.height == 3
-    with pytest.raises(ValueError, match="sub-tree is not height 2"):
-        tree.merge(tree.root_id, sub)
 
 
 def test_from_json_rejects_extra_leaves_and_rootless_trees(cycle4):

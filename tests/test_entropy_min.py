@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hill import entropy_min
-from hill.coding_tree import CodingTree, initial_tree
+from hill.coding_tree import CodingTree, initial_tree, star_tree
 from hill.datagen import gen_hierarchy, hierarchy_to_graph
 from hill.entropy_min import (
-    _sub_tree_over_children,
     build_coding_tree,
     build_two_level,
     delta_compress,
@@ -59,12 +58,14 @@ def test_deltas_match_on_random_graphs(seed):
     assert tree.structural_entropy() - mid == pytest.approx(dr, abs=1e-12)
 
 
-def test_build_two_level_shape(bridge_triangles):
+def test_build_two_level_shape(bridge_triangles, cycle4):
     tree = initial_tree(bridge_triangles)
-    sub = build_two_level(tree, tree.root_id)
-    sub.validate()
-    assert sub.height == 2
-    assert len(sub.nodes[sub.root_id].children) == 2
+    groups = build_two_level(tree, tree.root_id)
+    assert {frozenset(grp) for grp in groups} == {frozenset({0, 1, 2}), frozenset({3, 4, 5})}
+    # a node with two children keeps each in a group of its own
+    tree = build_coding_tree(cycle4, 3)
+    a, b = tree.nodes[tree.root_id].children
+    assert build_two_level(tree, tree.root_id) == [[a], [b]]
 
 
 def test_build_two_level_rejects_leaf(cycle4):
@@ -267,7 +268,10 @@ def _reference_two_level(tree, v_id):
     """The two-level step as an exhaustive argmin: every sibling pair on
     one heap (cross-edges counted from the graph), and a rescan of every
     internal node per removal."""
-    sub = _sub_tree_over_children(tree, v_id)
+    node = tree.nodes[v_id]
+    kids = sorted(node.children)
+    leaves = [(tree.nodes[c].subset, tree.nodes[c].volume, tree.nodes[c].cut) for c in kids]
+    sub = star_tree(tree.graph, leaves, (node.subset, node.volume, node.cut))
     root = sub.nodes[sub.root_id]
     heap = []
     alive = set(root.children)
@@ -292,7 +296,7 @@ def _reference_two_level(tree, v_id):
         )
         sub.remove_node(v)
     sub.align(2)
-    return sub
+    return [[kids[l] for l in sub.nodes[m].children] for m in root.children]
 
 
 def _relabelled(g, rng):

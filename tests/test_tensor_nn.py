@@ -231,6 +231,8 @@ def test_checkpoint_shape_and_name_errors(tmp_path):
         ({"shape": [1, 2], "values": [float("-inf"), 0.0]}, "values for b contains non-finite"),
         ({"shape": [True, 2], "values": [0.0, 0.0]}, "shape mismatch for b"),
         ({"shape": [1, 2], "values": [True, False]}, "values for b are not numbers"),
+        ({"shape": [1, 2], "values": ["1.5", "2"]}, "values for b are not numbers"),
+        ({"shape": [1, 2], "values": [10**400, 1]}, "values for b exceed the float64 range"),
     ],
 )
 def test_checkpoint_rejects_bad_entry_before_writing(tmp_path, entry, why):
