@@ -17,7 +17,9 @@ Standard library only; it runs no benchmark.
     python3 scripts/collate_bench.py --parent ../parent --change ../change --out BENCH_<n>.json
 
 Run both sides from fresh checkouts side by side: where a checkout sits
-moves its end-to-end numbers by several percent.
+moves its end-to-end numbers by several percent. A side whose records
+carry more than one source hash (runs left over from before an edit) is
+refused, since its seeds would pair records of different programs.
 """
 
 import argparse
@@ -45,6 +47,14 @@ def load_records(checkout):
         out.setdefault(key, {})[int(m["seed"])] = record
     if not out:
         raise ValueError(f"{checkout}: no .perfbench/<workload>-seed<n>-trace<t>.json records")
+    records = [r for runs in out.values() for r in runs.values()]
+    states = sorted({r["provenance"]["source_sha256"] for r in records})
+    if len(states) > 1:
+        shown = ", ".join(h[:12] for h in states)
+        raise ValueError(
+            f"{checkout}: records from {len(states)} source states ({shown}); "
+            "rerun in a fresh checkout"
+        )
     return out
 
 

@@ -4,11 +4,14 @@ construction) and an exhaustive oracle for small graphs.
 The greedy construction grows the tree one level per iteration, choosing
 between refining at the root (on a copy) or refining every
 parent-of-leaves node (in place), whichever merged tree has lower
-entropy; a tie keeps the second. The inner two-level step
-compresses the best sibling pair until two children remain, then deletes
-the internal node with the smallest entropy increase until height 2.
+entropy; a tie keeps the second. At `HILL_LOG=info` it logs one line per
+level. The inner two-level step compresses the best sibling pair until
+two children remain, then deletes the internal node with the smallest
+entropy increase until height 2. It runs on integer ids and builds no
+tree; `delta_*` and the CodingTree surgeries stay its reference.
 
-Both steps score moves with exact closed forms (Li & Pan 2016):
+Both steps score moves with exact closed forms (Li & Pan 2016), each
+written once, in `_compress_delta` and `_remove_delta`:
 
     delta_compress(a, b) = (2 * cross(a, b) / vol G) * log2(vol gamma / vol parent)
     delta_remove(v) = ((sum of cut(children) - cut(v)) / vol G) * log2(vol parent / vol v)
@@ -19,9 +22,11 @@ loop keeps a sibling super-graph of cross-edge counts (a merged node's row
 is the sum of its two rows) and heaps only adjacent pairs; an entry stays
 valid while both its nodes are alive, because a pair's delta depends only
 on the pair and their fixed parent. When no adjacent pair is left, every
-delta is 0 and the two lowest alive ids are compressed. The removal loop
-keeps a lazily invalidated min-heap of (delta, id): removing v changes only
-the deltas of v's children and of v's parent, which are re-scored.
+delta is 0 and the two lowest alive ids are compressed. A merged node
+takes its first kid's slot among v's children. The removal loop keeps a
+lazily invalidated min-heap of (delta, id): removing v changes only the
+deltas of v's children and of v's parent, which are re-scored. Removals
+keep the leaves' left-to-right order, from which the groups are read.
 
 Every argmin breaks ties on the smallest (delta, node-id pair) or
 (delta, node id), so construction is deterministic and picks exactly what
@@ -31,12 +36,31 @@ an exhaustive argmin over the same deltas would.
 from __future__ import annotations
 
 import heapq
+import logging
 import math
+import time
+from itertools import groupby
 
-from .coding_tree import CodingTree, entropy_term, initial_tree, star_tree
+from .coding_tree import CodingTree, entropy_term, initial_tree
 from .graph import Graph, cross_edges, cut_size, subset_volume
 
 ORACLE_MAX_VERTICES = {2: 8, 3: 5}
+
+log = logging.getLogger(__name__)
+
+
+def _compress_delta(cross, vol_a, vol_b, vol_parent, vol_g) -> float:
+    """(2 * cross / vol G) * log2((vol a + vol b) / vol parent); exactly 0.0
+    when cross is 0."""
+    if cross == 0:
+        return 0.0
+    return (2 * cross / vol_g) * math.log2((vol_a + vol_b) / vol_parent)
+
+
+def _remove_delta(inner, vol_parent, vol_v, vol_g) -> float:
+    """(inner / vol G) * log2(vol parent / vol v), where inner is the sum
+    of v's children's cuts minus v's cut."""
+    return (inner / vol_g) * math.log2(vol_parent / vol_v)
 
 
 def delta_compress(tree: CodingTree, a_id: int, b_id: int, cross: int | None = None) -> float:
@@ -50,10 +74,8 @@ def delta_compress(tree: CodingTree, a_id: int, b_id: int, cross: int | None = N
     a, b = tree.nodes[a_id], tree.nodes[b_id]
     if cross is None:
         cross = cross_edges(tree.graph, a.subset, b.subset)
-    if cross == 0:
-        return 0.0
-    parent_vol = tree.nodes[a.parent].volume
-    return (2 * cross / tree.graph.volume) * math.log2((a.volume + b.volume) / parent_vol)
+    vol_parent = tree.nodes[a.parent].volume
+    return _compress_delta(cross, a.volume, b.volume, vol_parent, tree.graph.volume)
 
 
 def delta_remove(tree: CodingTree, v_id: int) -> float:
@@ -61,43 +83,43 @@ def delta_remove(tree: CodingTree, v_id: int) -> float:
     ((sum of cut(children) - cut(v)) / vol G) * log2(vol parent / vol v)."""
     v = tree.nodes[v_id]
     inner = sum(tree.nodes[c].cut for c in v.children) - v.cut
-    parent_vol = tree.nodes[v.parent].volume
-    return (inner / tree.graph.volume) * math.log2(parent_vol / v.volume)
+    return _remove_delta(inner, tree.nodes[v.parent].volume, v.volume, tree.graph.volume)
 
 
-def _sibling_graph(sub: CodingTree) -> dict:
-    """{child id: {adjacent sibling id: cross-edge count}} over the root's
-    children, counted once from the graph's adjacency."""
-    owner = {}
-    for c in sub.nodes[sub.root_id].children:
-        for u in sub.nodes[c].subset:
-            owner[u] = c
-    rows = {c: {} for c in sub.nodes[sub.root_id].children}
-    adjacency = sub.graph.adjacency
-    for u, c in owner.items():
-        row = rows[c]
+def _pair_merges(tree: CodingTree, v_id: int):
+    """The compress phase of `build_two_level` on ids: v's child kids[i]
+    is id i, v is n = len(kids), and merges[j] = (a, b, cross(a, b)) made
+    id n + 1 + j. Returns (kids, vol, merges, top): vol holds every id's
+    volume, and top the two (or fewer) ids left under v, in order."""
+    v = tree.nodes[v_id]
+    if v.is_leaf():
+        raise ValueError(f"node {v_id} is a leaf")
+    kids = sorted(v.children)
+    n, vol_g = len(kids), tree.graph.volume
+    vol = [tree.nodes[c].volume for c in kids] + [v.volume]
+    # rows[i] = {adjacent sibling id: cross-edge count}, counted once from
+    # the graph's adjacency; None for v and for every id already compressed
+    owner = {u: i for i, c in enumerate(kids) for u in tree.nodes[c].subset}
+    rows = [{} for _ in kids] + [None]
+    adjacency = tree.graph.adjacency
+    for u, i in owner.items():
+        row = rows[i]
         for w in adjacency[u]:
-            d = owner.get(w)
-            if d is not None and d != c:
-                row[d] = row.get(d, 0) + 1
-    return rows
-
-
-def _compress_to_binary(sub: CodingTree) -> None:
-    """Compress the root's children pairwise, best pair first, until the
-    root has two children."""
-    root = sub.nodes[sub.root_id]
-    rows = _sibling_graph(sub)
+            j = owner.get(w)
+            if j is not None and j != i:
+                row[j] = row.get(j, 0) + 1
     heap = [
-        (delta_compress(sub, a, b, w), a, b)
-        for a, row in rows.items()
-        for b, w in row.items()
+        (_compress_delta(w, vol[a], vol[b], v.volume, vol_g), a, b)
+        for a in range(n)
+        for b, w in rows[a].items()
         if a < b
     ]
     heapq.heapify(heap)
-    by_id = sorted(rows)  # alive ids, lowest first, for the no-adjacent-pair case
-    while len(root.children) > 2:
-        while heap and (heap[0][1] not in rows or heap[0][2] not in rows):
+    by_id = list(range(n))  # alive ids, lowest first, for the no-adjacent-pair case
+    slot = list(range(n)) + [None]  # each alive id's place among v's children
+    merges = []
+    for gamma in range(n + 1, 2 * n - 1):  # n - 2 compresses leave two children
+        while heap and (rows[heap[0][1]] is None or rows[heap[0][2]] is None):
             heapq.heappop(heap)
         if heap:
             _, a, b = heapq.heappop(heap)
@@ -105,72 +127,100 @@ def _compress_to_binary(sub: CodingTree) -> None:
             pair = []
             while len(pair) < 2:
                 x = heapq.heappop(by_id)
-                if x in rows:
+                if rows[x] is not None:
                     pair.append(x)
             a, b = pair
-        gamma = sub.compress(a, b)
-        row = rows.pop(a)
-        for x, w in rows.pop(b).items():
+        row, b_row = rows[a], rows[b]
+        rows[a] = rows[b] = None
+        cross = row.pop(b, 0)
+        b_row.pop(a, None)
+        for x, w in b_row.items():
             row[x] = row.get(x, 0) + w
-        row.pop(a, None)
-        row.pop(b, None)
+        vol.append(vol[a] + vol[b])
         for x, w in row.items():
             x_row = rows[x]
             x_row.pop(a, None)
             x_row.pop(b, None)
             x_row[gamma] = w
-            heapq.heappush(heap, (delta_compress(sub, x, gamma, w), x, gamma))
-        rows[gamma] = row
+            d = _compress_delta(w, vol[x], vol[gamma], v.volume, vol_g)
+            heapq.heappush(heap, (d, x, gamma))
+        rows.append(row)
         heapq.heappush(by_id, gamma)
-
-
-def _remove_to_height_two(sub: CodingTree) -> None:
-    """Delete the internal node of least delta_remove until every internal
-    node hangs off the root (height 2 once aligned)."""
-    root_id = sub.root_id
-    score = {}
-    heap = []
-
-    def rescore(n_id):
-        score[n_id] = d = delta_remove(sub, n_id)
-        heapq.heappush(heap, (d, n_id))
-
-    deep = 0  # internal nodes whose parent is not the root
-    for n in sub.nodes.values():
-        if n.parent is not None and not n.is_leaf():
-            rescore(n.id)
-            deep += n.parent != root_id
-    while deep:
-        d, v_id = heapq.heappop(heap)
-        if score.get(v_id) != d:
-            continue
-        del score[v_id]
-        v = sub.nodes[v_id]
-        parent, kids = v.parent, v.children
-        deep -= parent != root_id
-        sub.remove_node(v_id)
-        for c in kids:
-            if not sub.nodes[c].is_leaf():
-                deep -= parent == root_id
-                rescore(c)
-        if parent != root_id:
-            rescore(parent)
+        slot.append(slot[a])
+        merges.append((a, b, cross))
+    top = sorted((x for x, row in enumerate(rows) if row is not None), key=slot.__getitem__)
+    return kids, vol, merges, top
 
 
 def build_two_level(tree: CodingTree, v_id: int) -> list:
-    """v's children in ordered groups for `merge`: on a star whose leaf i is v's
-    i-th smallest child, greedy pair compression, then least-increase deletion to height 2."""
-    v = tree.nodes[v_id]
-    if v.is_leaf():
-        raise ValueError(f"node {v_id} is a leaf")
-    kids = sorted(v.children)
-    leaves = [(tree.nodes[c].subset, tree.nodes[c].volume, tree.nodes[c].cut) for c in kids]
-    sub = star_tree(tree.graph, leaves, (v.subset, v.volume, v.cut))
-    _compress_to_binary(sub)
-    _remove_to_height_two(sub)
-    # a leaf child of the root is a group of one; no internal node sits deeper
-    top = sub.nodes[sub.root_id].children
-    return [[kids[j] for j in sub.nodes[m].children or [m]] for m in top]
+    """v's children in ordered groups for `merge`: greedy pair compression
+    over v's children, lowest id first on ties, then least-increase
+    deletion until every remaining internal node hangs off v."""
+    kids, vol, merges, top = _pair_merges(tree, v_id)
+    n, vol_g = len(kids), tree.graph.volume
+    root = n  # v's id
+    parent = [root] * (n + 1 + len(merges))
+    below = [()] * (n + 1)  # each compressed id's current children
+    inner = [0] * (n + 1)  # sum of its children's cuts minus its own cut
+    for a, b, cross in merges:
+        parent[a] = parent[b] = len(below)
+        below.append({a, b})
+        inner.append(2 * cross)
+    score, heap = {}, []
+
+    def rescore(x):
+        score[x] = d = _remove_delta(inner[x], vol[parent[x]], vol[x], vol_g)
+        heapq.heappush(heap, (d, x))
+
+    deep = 0  # compressed ids whose parent is not v
+    for x in range(n + 1, len(below)):
+        rescore(x)
+        deep += parent[x] != root
+    while deep:
+        d, x = heapq.heappop(heap)
+        if score.get(x) != d:
+            continue
+        del score[x]
+        p = parent[x]
+        deep -= p != root
+        inner[p] += inner[x]
+        for c in below[x]:
+            parent[c] = p
+            if c > root:
+                deep -= p == root
+                rescore(c)
+        if p != root:
+            below[p].remove(x)
+            below[p] |= below[x]
+            rescore(p)
+    # leaves in the compressed tree's order; a group's leaves are adjacent
+    leaves, stack = [], top[::-1]
+    while stack:
+        x = stack.pop()
+        if x < root:
+            leaves.append(x)
+        else:
+            a, b, _ = merges[x - root - 1]
+            stack += (b, a)
+    # a leaf still under v is a group of one
+    runs = groupby(leaves, key=lambda i: parent[i] if parent[i] != root else ~i)
+    return [[kids[i] for i in run] for _, run in runs]
+
+
+def _log_level(tree: CodingTree, won: str, steps, start: float) -> None:
+    """Log one refinement level; `steps` are the winner's groups, one list
+    per `build_two_level` call. A step over n children made max(n - 2, 0)
+    compresses, and removed each compressed node not left as a group."""
+    seconds = time.perf_counter() - start
+    compresses = removals = 0
+    for groups in steps:
+        made = max(sum(map(len, groups)) - 2, 0)
+        compresses += made
+        removals += made - sum(len(grp) > 1 for grp in groups)
+    log.info(
+        "height %d (%s refinement): %d compresses, %d removals, H(T) = %.4f bits, %.3f s",
+        tree.height, won, compresses, removals, tree.structural_entropy(), seconds,
+    )
 
 
 def build_coding_tree(g: Graph, k: int) -> CodingTree:
@@ -179,18 +229,30 @@ def build_coding_tree(g: Graph, k: int) -> CodingTree:
         raise ValueError(f"height must be at least 2, got {k}")
     if k >= g.node_count:
         raise ValueError(f"height {k} not realizable on {g.node_count} vertices")
+    logged = log.isEnabledFor(logging.INFO)
+    start = time.perf_counter()
     tree = initial_tree(g)
-    tree.merge(tree.root_id, build_two_level(tree, tree.root_id))
+    groups = build_two_level(tree, tree.root_id)
+    tree.merge(tree.root_id, groups)
+    if logged:
+        _log_level(tree, "root", [groups], start)
     while tree.height < k:
+        start = time.perf_counter()
         # candidate 1: refine the partition at the root, on a copy
         t1 = tree.copy()
-        t1.merge(t1.root_id, build_two_level(t1, t1.root_id))
+        groups = build_two_level(t1, t1.root_id)
+        t1.merge(t1.root_id, groups)
         # candidate 2, in place: refine below every parent-of-leaves node
         # (each merge keeps all leaves at one depth, so those are layer 1)
+        in_place = []
         for v in tree.layer(1):
-            tree.merge(v, build_two_level(tree, v))
+            in_place.append(build_two_level(tree, v))
+            tree.merge(v, in_place[-1])
+        won, steps = "in place", in_place
         if t1.structural_entropy() < tree.structural_entropy():  # a tie keeps candidate 2
-            tree = t1
+            tree, won, steps = t1, "root", [groups]
+        if logged:
+            _log_level(tree, won, steps, start)
     return tree
 
 

@@ -87,3 +87,17 @@ def test_refuses_a_checkout_without_records(tmp_path, collate_bench, capsys):
     assert collate_bench.main(args) == 1
     assert "no .perfbench/" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+def test_refuses_a_side_whose_records_come_from_different_code(tmp_path, collate_bench, capsys):
+    # leftovers of a run before an edit would pair records of two programs per seed
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (1, 2, 3):
+        write_record(parent, "tree-build", seed, 0, "aaa", e2e(10.0))
+        write_record(change, "tree-build", seed, 0, "bbb" if seed < 3 else "ccc", e2e(12.0))
+    args = ["--parent", str(parent), "--change", str(change), "--out", str(tmp_path / "out.json")]
+    assert collate_bench.main(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: {change}: records from 2 source states (bbbbbb, cccccc); rerun in a fresh checkout\n"
+    )
+    assert not (tmp_path / "out.json").exists()

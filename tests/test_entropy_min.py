@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hill import entropy_min
+from hill import coding_tree, entropy_min
 from hill.coding_tree import CodingTree, initial_tree, star_tree
 from hill.datagen import gen_hierarchy, hierarchy_to_graph
 from hill.entropy_min import (
@@ -72,6 +72,19 @@ def test_build_two_level_rejects_leaf(cycle4):
     tree = initial_tree(cycle4)
     with pytest.raises(ValueError, match="leaf"):
         build_two_level(tree, 0)
+
+
+def test_build_two_level_builds_no_tree(monkeypatch, bridge_triangles):
+    # the step runs on ids; the surgeries and cross_edges stay its reference
+    def refuse(*_args, **_kw):
+        raise AssertionError("build_two_level used the tree API")
+
+    tree = initial_tree(bridge_triangles)
+    for owner, name in ((CodingTree, "__init__"), (CodingTree, "compress"),
+                        (CodingTree, "remove_node"), (entropy_min, "cross_edges")):
+        monkeypatch.setattr(owner, name, refuse)
+    monkeypatch.setattr(coding_tree.TreeNode, "__init__", refuse)
+    assert len(build_two_level(tree, tree.root_id)) == 2
 
 
 def test_build_coding_tree_recovers_triangles(bridge_triangles):
@@ -231,34 +244,28 @@ def _two_groups(g, left):
     return CodingTree.from_json(g, json.dumps({"nodes": nodes}))
 
 
-def _first_compress(monkeypatch, tree, v_id):
-    calls = []
-    compress = CodingTree.compress
-
-    def spy(self, a, b):
-        calls.append((a, b))
-        return compress(self, a, b)
-
-    monkeypatch.setattr(CodingTree, "compress", spy)
-    build_two_level(tree, v_id)
-    return calls[0]
+def _first_compress(tree, v_id):
+    # the step's ids for v's children are their ranks, which these trees' ids equal
+    _, _, merges, _ = entropy_min._pair_merges(tree, v_id)
+    a, b, _ = merges[0]
+    return a, b
 
 
-def test_first_compress_takes_lowest_pair_on_a_symmetric_star(monkeypatch):
+def test_first_compress_takes_lowest_pair_on_a_symmetric_star():
     # every (centre, leaf) pair has the same delta
     g = build_graph(9, [(0, i) for i in range(1, 9)])
     tree = initial_tree(g)
-    assert _first_compress(monkeypatch, tree, tree.root_id) == (0, 1)
+    assert _first_compress(tree, tree.root_id) == (0, 1)
 
 
-def test_first_compress_takes_lowest_pair_among_zero_deltas(monkeypatch):
+def test_first_compress_takes_lowest_pair_among_zero_deltas():
     # left vertex i joins the first (1, 1, 2, 3)[i] right vertices: the
     # left group's members share no edge, so every pair ties at exactly 0
     edges = [(i, 4 + j) for i, d in enumerate((1, 1, 2, 3)) for j in range(d)]
     tree = _two_groups(build_graph(7, edges), {0, 1, 2, 3})
     group = tree.nodes[0].parent
     assert all(delta_compress(tree, a, b) == 0.0 for a in range(4) for b in range(a + 1, 4))
-    assert _first_compress(monkeypatch, tree, group) == (0, 1)
+    assert _first_compress(tree, group) == (0, 1)
 
 
 # -- differential test against the exhaustive two-level step ------------
@@ -348,7 +355,13 @@ def _differential_corpus():
             _disjoint_union(*(random_graph(rng, n_min=3, n_max=6) for _ in range(4))),
         )
     )
-    return [pytest.param(g, k, id=f"{name}-k{k}") for name, g in corpus for k in (2, 3)]
+    params = [pytest.param(g, k, id=f"{name}-k{k}") for name, g in corpus for k in (2, 3)]
+    # the shapes perfbench's tree-build workload times, at its heights
+    bench = [("sbm8x20", _sbm(rng, 8, 20, 0.5, 0.014), 2)]
+    for depth, branching, k in ((4, 3, 3), (3, 5, 2)):
+        taxonomy = hierarchy_to_graph(gen_hierarchy(depth, branching))
+        bench.append((f"taxonomy{depth}{branching}", _relabelled(taxonomy, rng), k))
+    return params + [pytest.param(g, k, id=f"{name}-k{k}") for name, g, k in bench]
 
 
 @pytest.mark.parametrize("g,k", _differential_corpus())
@@ -375,4 +388,12 @@ def test_taxonomy_trees_are_pinned():
         for d, b, k in ((3, 4, 2), (3, 4, 3), (4, 3, 3), (3, 5, 2))
     )
     digest = "b40cba31a7c9504ba6f100ca254cd790095e3464e57dbc2d57291457e215a412"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_wide_taxonomy_trees_are_pinned():
+    # 4681 children under the root: the compress phase's slot order decides its child order
+    g = hierarchy_to_graph(gen_hierarchy(4, 8))
+    text = "\n".join(build_coding_tree(g, k).to_json() for k in (2, 3))
+    digest = "5edbe63b9a7a9ad55c5b83a25c366a6bd39c493a4e6f1c328cc0ea8e73ffcb13"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
