@@ -10,7 +10,7 @@ seeds both sides ran the change won, ties counting for neither side,
 and the change's median over the parent's. Metric names, units and which way is better come from this tree's
 BENCHMARK.json; a per-layer metric that reads 0 in every record of a
 workload (a layer it does not run) is left out. Each side also
-gets its commits, source hashes and the provenance its records share.
+gets its commits, source hash and the provenance its records share.
 Standard library only; it runs no benchmark.
 
     git archive PARENT_COMMIT | tar -x -C ../parent   # and CHANGE_COMMIT into ../change
@@ -80,14 +80,14 @@ def compare(parent, change, better):
 
 
 def side_info(records):
-    """Commits, source hashes and the provenance fields all records share."""
+    """Commits, source hash and the provenance fields all records share."""
     provs = [r["provenance"] for runs in records.values() for r in runs.values()]
     shared = {k: v for k, v in provs[0].items() if all(p.get(k) == v for p in provs)}
     for key in ("git_commit", "source_sha256", "seed"):
         shared.pop(key, None)
     return {
         "commits": sorted({str(p.get("git_commit")) for p in provs}),
-        "source_sha256": sorted({p["source_sha256"] for p in provs}),
+        "source_sha256": [provs[0]["source_sha256"]],  # one, as load_records checks
         "provenance": shared,
     }
 

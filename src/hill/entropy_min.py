@@ -63,17 +63,15 @@ def _remove_delta(inner, vol_parent, vol_v, vol_g) -> float:
     return (inner / vol_g) * math.log2(vol_parent / vol_v)
 
 
-def delta_compress(tree: CodingTree, a_id: int, b_id: int, cross: int | None = None) -> float:
+def delta_compress(tree: CodingTree, a_id: int, b_id: int) -> float:
     """Entropy change of compress(a, b):
     (2 * cross(a, b) / vol G) * log2((vol a + vol b) / vol parent).
 
     Scores distinct siblings only; `compress` raises on any other pair.
-    Exactly 0.0 when a and b share no edge. `cross` is their edge count
-    if the caller knows it; otherwise it is counted from the graph.
+    Exactly 0.0 when a and b share no edge.
     """
     a, b = tree.nodes[a_id], tree.nodes[b_id]
-    if cross is None:
-        cross = cross_edges(tree.graph, a.subset, b.subset)
+    cross = cross_edges(tree.graph, a.subset, b.subset)
     vol_parent = tree.nodes[a.parent].volume
     return _compress_delta(cross, a.volume, b.volume, vol_parent, tree.graph.volume)
 
@@ -230,29 +228,31 @@ def build_coding_tree(g: Graph, k: int) -> CodingTree:
     if k >= g.node_count:
         raise ValueError(f"height {k} not realizable on {g.node_count} vertices")
     logged = log.isEnabledFor(logging.INFO)
-    start = time.perf_counter()
+    start = time.perf_counter() if logged else 0.0
     tree = initial_tree(g)
     groups = build_two_level(tree, tree.root_id)
     tree.merge(tree.root_id, groups)
     if logged:
         _log_level(tree, "root", [groups], start)
     while tree.height < k:
-        start = time.perf_counter()
+        if logged:
+            start, in_place = time.perf_counter(), []
         # candidate 1: refine the partition at the root, on a copy
         t1 = tree.copy()
         groups = build_two_level(t1, t1.root_id)
         t1.merge(t1.root_id, groups)
         # candidate 2, in place: refine below every parent-of-leaves node
         # (each merge keeps all leaves at one depth, so those are layer 1)
-        in_place = []
         for v in tree.layer(1):
-            in_place.append(build_two_level(tree, v))
-            tree.merge(v, in_place[-1])
-        won, steps = "in place", in_place
+            below = build_two_level(tree, v)
+            tree.merge(v, below)
+            if logged:
+                in_place.append(below)
+        won = "in place"
         if t1.structural_entropy() < tree.structural_entropy():  # a tie keeps candidate 2
-            tree, won, steps = t1, "root", [groups]
+            tree, won = t1, "root"
         if logged:
-            _log_level(tree, won, steps, start)
+            _log_level(tree, won, [groups] if won == "root" else in_place, start)
     return tree
 
 

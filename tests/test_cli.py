@@ -1,11 +1,7 @@
 import json
 import logging
 import math
-import os
 import shutil
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -18,7 +14,6 @@ from hill.datagen import Example, load_dataset, load_taxonomy, save_dataset
 from hill.graph import load_graph, load_graph_file
 from hill.hill_model import HillConfig
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 CYCLE4 = "0 1\n1 2\n2 3\n3 0\n"
 BRIDGE = "0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n2 3\n"
 
@@ -229,23 +224,6 @@ def test_hill_log_names_the_level(bridge_file, capsys, monkeypatch, value, level
     monkeypatch.setattr(logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
     assert main(["oracle", "--graph", str(bridge_file), "--height", "2"]) == 0
     assert levels == [level]
-
-
-@pytest.mark.parametrize("value", ["info", None], ids=["info", "unset"])
-def test_build_tree_logs_each_level_at_info(bridge_file, value):
-    # a fresh process, so HILL_LOG configures logging and the line reaches stderr
-    env = {k: v for k, v in os.environ.items() if k != "HILL_LOG"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    if value is not None:
-        env["HILL_LOG"] = value
-    cmd = [sys.executable, "-m", "hill.cli", "build-tree", "--graph", str(bridge_file)]
-    proc = subprocess.run(cmd + ["--height", "2"], capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0 and proc.stdout == ""
-    if value is None:
-        assert proc.stderr == ""
-    else:
-        (line,) = proc.stderr.splitlines()
-        assert line.startswith("height 2 (root refinement): 4 compresses, 2 removals, H(T) = ")
 
 
 @pytest.mark.parametrize(

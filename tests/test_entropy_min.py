@@ -1,6 +1,7 @@
 import hashlib
 import heapq
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -111,6 +112,20 @@ def test_build_coding_tree_never_above_flat():
         flat = initial_tree(g).structural_entropy()
         greedy = build_coding_tree(g, 2).structural_entropy()
         assert greedy <= flat + 1e-12
+
+
+def test_build_coding_tree_logs_each_level_at_info(bridge_triangles, cycle4, caplog):
+    build_coding_tree(bridge_triangles, 2)
+    assert caplog.records == []  # nothing below the default warning level
+    with caplog.at_level(logging.INFO, logger="hill.entropy_min"):
+        build_coding_tree(bridge_triangles, 2)
+        build_coding_tree(cycle4, 3)
+    lines = [r.getMessage() for r in caplog.records]
+    assert [line.split(", H(T)")[0] for line in lines] == [
+        "height 2 (root refinement): 4 compresses, 2 removals",
+        "height 2 (root refinement): 2 compresses, 0 removals",
+        "height 3 (in place refinement): 0 compresses, 0 removals",
+    ]
 
 
 def test_build_coding_tree_argument_checks(cycle4):
