@@ -14,7 +14,12 @@ gets its commits, source hash and the provenance its records share.
 Standard library only; it runs no benchmark.
 
     git archive PARENT_COMMIT | tar -x -C ../parent   # and CHANGE_COMMIT into ../change
-    python3 scripts/collate_bench.py --parent ../parent --change ../change --out BENCH_<n>.json
+    python3 scripts/collate_bench.py --parent ../parent --change ../change \
+        --parent-commit PARENT_COMMIT --change-commit CHANGE_COMMIT --out BENCH_<n>.json
+
+A `git archive` checkout has no .git, so its records name no commit;
+`--parent-commit` and `--change-commit` name them. A record that names
+a commit other than the one given is refused.
 
 Run both sides from fresh checkouts side by side: where a checkout sits
 moves its end-to-end numbers by several percent. A side whose records
@@ -34,8 +39,10 @@ TREE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RECORD = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json$")
 
 
-def load_records(checkout):
-    """{(workload, 'trace<t>'): {seed: record}} from checkout/.perfbench."""
+def load_records(checkout, commit=None):
+    """{(workload, 'trace<t>'): {seed: record}} from checkout/.perfbench.
+    A given `commit` fills the git_commit of records that carry none and
+    refuses a record that names another."""
     out = {}
     for path in sorted(glob.glob(os.path.join(checkout, ".perfbench", "*.json"))):
         m = RECORD.match(os.path.basename(path))
@@ -55,6 +62,12 @@ def load_records(checkout):
             f"{checkout}: records from {len(states)} source states ({shown}); "
             "rerun in a fresh checkout"
         )
+    if commit is not None:
+        for r in records:
+            own = r["provenance"].get("git_commit")
+            if own is not None and own != commit:
+                raise ValueError(f"{checkout}: records of commit {own}, not the given {commit}")
+            r["provenance"]["git_commit"] = commit
     return out
 
 
@@ -92,8 +105,8 @@ def side_info(records):
     }
 
 
-def collate(parent_dir, change_dir, spec):
-    parent, change = load_records(parent_dir), load_records(change_dir)
+def collate(parent_dir, change_dir, spec, parent_commit=None, change_commit=None):
+    parent, change = load_records(parent_dir, parent_commit), load_records(change_dir, change_commit)
     workloads = {}
     for key in sorted(set(parent) | set(change)):
         workload, trace = key
@@ -128,11 +141,13 @@ def main(argv=None):
     parser.add_argument("--parent", required=True, help="checkout holding the parent's .perfbench/")
     parser.add_argument("--change", required=True, help="checkout holding the change's .perfbench/")
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
+    parser.add_argument("--parent-commit", help="the parent's commit, for records that name none")
+    parser.add_argument("--change-commit", help="the change's commit, for records that name none")
     args = parser.parse_args(argv)
     with open(os.path.join(TREE, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     try:
-        result = collate(args.parent, args.change, spec)
+        result = collate(args.parent, args.change, spec, args.parent_commit, args.change_commit)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

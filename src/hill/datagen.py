@@ -246,21 +246,70 @@ def check_ids(examples, vocab_size, num_labels):
     _ids_by_doc([ex.labels for ex in examples], num_labels, "label")
 
 
-def count_matrix(examples, vocab_size) -> np.ndarray:
-    """(docs, vocab_size) float64 token counts. One weighted bincount over
-    the flat cell index doc * vocab_size + id: each cell is a sum of 1.0s,
-    exact below 2**53 in any order, so it equals the np.add.at scatter
-    into zeros it replaced, bit for bit."""
-    rows, tokens = _ids_by_doc([ex.tokens for ex in examples], vocab_size, "token")
-    n = len(examples)
-    counts = np.bincount(rows * vocab_size + tokens, weights=np.ones(len(tokens)),
-                         minlength=n * vocab_size)
+def _counts(rows, ids, n, width) -> np.ndarray:
+    """(n, width) float64 counts of each (row, id) pair. One weighted
+    bincount over the flat cell index row * width + id: each cell is a
+    sum of 1.0s, exact below 2**53 in any order, so it equals the
+    np.add.at scatter into zeros it replaced, bit for bit."""
+    counts = np.bincount(rows * width + ids, weights=np.ones(len(ids)), minlength=n * width)
     # with no ids at all, bincount returns int64 even when given weights
-    return counts.reshape(n, vocab_size).astype(np.float64, copy=False)
+    return counts.reshape(n, width).astype(np.float64, copy=False)
+
+
+def _indicator(rows, ids, n, width) -> np.ndarray:
+    """(n, width) float64 array with 1.0 at each (row, id) pair."""
+    y = np.zeros((n, width))
+    y[rows, ids] = 1.0
+    return y
+
+
+def count_matrix(examples, vocab_size) -> np.ndarray:
+    """(docs, vocab_size) float64 token counts."""
+    return _counts(*_ids_by_doc([ex.tokens for ex in examples], vocab_size, "token"),
+                   len(examples), vocab_size)
 
 
 def label_matrix(examples, num_labels) -> np.ndarray:
-    rows, labels = _ids_by_doc([ex.labels for ex in examples], num_labels, "label")
-    y = np.zeros((len(examples), num_labels))
-    y[rows, labels] = 1.0
-    return y
+    return _indicator(*_ids_by_doc([ex.labels for ex in examples], num_labels, "label"),
+                      len(examples), num_labels)
+
+
+class PackedExamples:
+    """A list of examples whose ids are checked once, as check_ids checks
+    them (tokens, then labels), and kept as one flat int64 array per
+    field with per-document offsets. ``count_matrix(idx)`` and
+    ``label_matrix(idx)`` build the arrays of the examples at idx from
+    slices of those arrays, reading and checking no id list again. They
+    hand the same (row, id) arrays that _ids_by_doc gives for those
+    examples to the same kernels, so they equal count_matrix and
+    label_matrix of ``[examples[i] for i in idx]`` bit for bit."""
+
+    def __init__(self, examples, vocab_size, num_labels):
+        self.vocab_size, self.num_labels = vocab_size, num_labels
+        self._tokens = _packed([ex.tokens for ex in examples], vocab_size, "token")
+        self._labels = _packed([ex.labels for ex in examples], num_labels, "label")
+
+    def count_matrix(self, idx) -> np.ndarray:
+        return _counts(*_cut(*self._tokens, idx), len(idx), self.vocab_size)
+
+    def label_matrix(self, idx) -> np.ndarray:
+        return _indicator(*_cut(*self._labels, idx), len(idx), self.num_labels)
+
+
+def _packed(id_lists, limit, what):
+    """(ids, offsets): the checked flat ids, and offsets[d] where
+    document d's ids start, with offsets[-1] == len(ids)."""
+    rows, ids = _ids_by_doc(id_lists, limit, what)
+    return ids, np.searchsorted(rows, np.arange(len(id_lists) + 1))
+
+
+def _cut(ids, offsets, idx):
+    """(rows, ids) of the documents at idx, in idx order: what
+    _ids_by_doc returns for their id lists."""
+    idx = np.asarray(idx, dtype=np.intp)
+    starts = offsets[idx]
+    lens = offsets[idx + 1] - starts
+    rows = np.repeat(np.arange(len(idx)), lens)
+    # entry j of the batch sits in row r, at flat position j - first[r] + starts[r]
+    first = np.cumsum(lens) - lens
+    return rows, ids[np.arange(len(rows)) + (starts - first)[rows]]

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor_nn as tn
 from .coding_tree import CodingTree
-from .datagen import check_ids, count_matrix, label_matrix
+from .datagen import PackedExamples, check_ids, count_matrix
 from .graph import prefix_errors
 from .metrics import macro_f1, micro_f1
 
@@ -96,7 +96,14 @@ class HillConfig:
 
 
 class BagOfWordsEncoder:
-    """Token-count lookup-sum followed by one linear+relu layer."""
+    """Token-count lookup-sum followed by one linear+relu layer.
+
+    The backward adds ``counts.T @ gsum`` to the embedding's gradient
+    only on the rows of tokens the batch holds (about 290 of 2048 at the
+    defaults). Each such row is the same length-B dot product over the
+    same operands as in the full product, and every other row would
+    receive a sum of ±0.0 terms, which changes no value (nor the sign of
+    the +0.0 that zero_grad writes); so the gradient keeps its bits."""
 
     def __init__(self, vocab_size, d_b, rng):
         self.vocab_size = vocab_size
@@ -115,7 +122,8 @@ class BagOfWordsEncoder:
         counts, z, lctx = ctx
         gz = tn.relu_backward(grad_h, z)
         gsum = self.lin.backward(gz, lctx)
-        self.embedding.grad += counts.T @ gsum
+        u = np.flatnonzero(counts.any(axis=0))
+        self.embedding.grad[u] += np.take(counts, u, axis=1).T @ gsum
 
     def params(self):
         return [self.embedding] + self.lin.params()
@@ -262,6 +270,18 @@ def _normalize_rows(x, name):
     return x / norms, norms
 
 
+def _sum_of_others(x):
+    """x.sum() - x for a vector of positive entries, without the
+    cancellation that form suffers at an entry holding more than half of
+    the sum (at most one can): that entry's others are summed directly.
+    Every other entry keeps x.sum() - x, bit for bit."""
+    total = x.sum()
+    out = total - x
+    for i in np.flatnonzero(x > total / 2):
+        out[i] = np.delete(x, i).sum()
+    return out
+
+
 def nt_xent(h, h_hat, tau, form="simclr"):
     """Contrastive loss over cosine similarities of positive pairs
     (h_i, h_hat_i) against in-batch negatives; returns (loss, ctx).
@@ -295,8 +315,7 @@ def nt_xent(h, h_hat, tau, form="simclr"):
     a = s / tau
     m = a.max()
     e = np.exp(a - m)
-    total = e.sum()
-    denom = total - e  # per-anchor sum over j != i
+    denom = _sum_of_others(e)  # per-anchor sum over j != i
     loss = float(np.mean(-a + m + np.log(denom)))
     return loss, ("paper_literal", u, v, nu, nv, tau, s, e, denom)
 
@@ -322,7 +341,7 @@ def nt_xent_backward(ctx):
     _, u, v, nu, nv, tau, s, e, denom = ctx
     b = len(u)
     inv = 1.0 / denom
-    ds = (-1.0 + e * (inv.sum() - inv)) / (b * tau)
+    ds = (-1.0 + e * _sum_of_others(inv)) / (b * tau)
     gu = ds[:, None] * (v - s[:, None] * u)
     gv = ds[:, None] * (u - s[:, None] * v)
     gh = gu / nu
@@ -475,16 +494,19 @@ def train(model: HillModel, train_examples, dev_examples, config: HillConfig, re
     loss the model computes and the batching here agree on lambda_clr.
     Encoder parameters step at lr_encoder, everything else at
     lr_structure. Deterministic under config.seed. Every id of both lists
-    is checked before the first step; the dense count and label arrays
-    are built per batch, and dev predictions run in batch_size slices,
-    so memory grows with the batch, not with the corpus.
+    is checked before the first step, the training set's tokens and
+    labels first. The training ids are kept from that check as flat
+    int64 arrays, and each batch's dense count and label arrays are cut
+    from them; dev predictions run in batch_size slices through
+    count_matrix. So the only array that grows with the corpus is the
+    flat id array, and the dense arrays grow with the batch.
     """
     ours = asdict(model.config)
     differ = [k for k, v in asdict(config).items() if k != "epochs" and v != ours[k]]
     if differ:
         raise ValueError(f"config differs from model.config in {', '.join(differ)}")
     vocab, num_labels, bs = model.encoder.vocab_size, model.num_labels, config.batch_size
-    check_ids(train_examples, vocab, num_labels)
+    train_set = PackedExamples(train_examples, vocab, num_labels)
     check_ids(dev_examples, vocab, num_labels)
     refuse_empty_docs(train_examples, config)
     gold_dev = [set(ex.labels) for ex in dev_examples]
@@ -502,10 +524,9 @@ def train(model: HillModel, train_examples, dev_examples, config: HillConfig, re
                 batches.pop()
             total = 0.0
             for idx in batches:
-                batch = [train_examples[i] for i in idx]
                 model.zero_grad()
                 loss, _, ctx = model.forward_batch(
-                    count_matrix(batch, vocab), label_matrix(batch, num_labels)
+                    train_set.count_matrix(idx), train_set.label_matrix(idx)
                 )
                 model.backward(ctx)
                 opt_enc.step()

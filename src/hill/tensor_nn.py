@@ -25,10 +25,10 @@ as references and compare with ``np.array_equal``.
 An Adam optimizer owns the storage of its parameter group: it keeps all
 values and all grads in one flat buffer each and rebinds every
 Parameter's ``value`` and ``grad`` to views of those buffers, so a step
-is a handful of in-place vector ops. Code that writes into ``value`` or
-``grad`` in place (``+=``, ``[...] =``, ``fill``) keeps working;
-rebinding either attribute after the optimizer is built detaches that
-parameter from it.
+is a handful of in-place vector ops on each cache-sized slice. Code
+that writes into ``value`` or ``grad`` in place (``+=``, ``[...] =``,
+``fill``) keeps working; rebinding either attribute after the optimizer
+is built detaches that parameter from it.
 """
 
 from __future__ import annotations
@@ -41,6 +41,12 @@ from .graph import prefix_errors
 
 # Adam's moment decay rates and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# entries per Adam slice: a slice's six float64 operands (value, grad, m,
+# v and the two scratch buffers, 1.5 MB) stay in a 2 MB L2 cache from one
+# op to the next. On the 135k-entry default encoder group, 32k slices
+# took 0.93 ms a step against 1.16 ms unsliced; 4k slices took 1.24 ms,
+# as the per-op call cost then dominates
+ADAM_BLOCK = 32768
 
 
 def check_finite(x, name: str):
@@ -140,11 +146,24 @@ class Adam:
 
     On construction the group's values and grads are copied into one
     contiguous buffer each, and every Parameter's ``value``/``grad`` is
-    rebound to a reshaped view of them; the moments and two scratch
-    buffers are flat too. A step applies the textbook update
-    elementwise, in place, with the same operations in the same order as
-    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``,
-    ``value -= lr m_hat / (sqrt(v_hat) + eps)``.
+    rebound to a reshaped view of them; the moments are flat too. A step
+    checks the whole gradient buffer first and writes nothing if any
+    entry is non-finite. It then walks the flat buffers in consecutive
+    slices of ADAM_BLOCK entries, and on each slice runs 14 in-place
+    ops in this order, with two slice-sized scratch buffers a and b:
+
+        m *= b1;  a = g * (1 - b1);  m += a
+        v *= b2;  a = g * (1 - b2);  a *= g;  v += a
+        a = m / (1 - b1**t);  a *= lr                  (lr m_hat)
+        b = v / (1 - b2**t);  b = sqrt(b);  b += eps   (sqrt(v_hat) + eps)
+        a /= b;  value -= a
+
+    Every op is elementwise, so each entry sees the same IEEE operations
+    on the same operands as the textbook update ``m = b1 m + (1 - b1) g``,
+    ``v = b2 v + (1 - b2) g g``, ``value -= lr m_hat / (sqrt(v_hat) +
+    eps)`` and gets its bits; the slices only keep a slice's six
+    operands in cache from one op to the next. ``1 - b1**t`` and
+    ``1 - b2**t`` are computed once a step, the same Python floats.
     """
 
     def __init__(self, params, lr):
@@ -164,30 +183,34 @@ class Adam:
             offset = end
         self.m = np.zeros(size)
         self.v = np.zeros(size)
-        self._a = np.empty(size)
-        self._b = np.empty(size)
+        self._a = np.empty(min(size, ADAM_BLOCK))
+        self._b = np.empty(min(size, ADAM_BLOCK))
 
     def step(self):
-        g = self.grad
-        if not np.isfinite(g).all():
+        if not np.isfinite(self.grad).all():
             bad = next(p for p in self.params if not np.isfinite(p.grad).all())
             raise ValueError(f"non-finite gradient for {bad.name}")
         self.t += 1
-        b1, b2, m, v, a, b = ADAM_BETA1, ADAM_BETA2, self.m, self.v, self._a, self._b
-        np.multiply(m, b1, out=m)
-        np.multiply(g, 1 - b1, out=a)
-        np.add(m, a, out=m)
-        np.multiply(v, b2, out=v)
-        np.multiply(g, 1 - b2, out=a)
-        np.multiply(a, g, out=a)
-        np.add(v, a, out=v)
-        np.divide(m, 1 - b1**self.t, out=a)  # m_hat
-        np.multiply(a, self.lr, out=a)
-        np.divide(v, 1 - b2**self.t, out=b)  # v_hat
-        np.sqrt(b, out=b)
-        np.add(b, ADAM_EPS, out=b)
-        np.divide(a, b, out=a)
-        np.subtract(self.value, a, out=self.value)
+        b1, b2, lr = ADAM_BETA1, ADAM_BETA2, self.lr
+        c1, c2 = 1 - b1**self.t, 1 - b2**self.t
+        for lo in range(0, self.value.size, ADAM_BLOCK):
+            hi = lo + ADAM_BLOCK
+            g, m, v, x = self.grad[lo:hi], self.m[lo:hi], self.v[lo:hi], self.value[lo:hi]
+            a, b = self._a[: g.size], self._b[: g.size]
+            np.multiply(m, b1, out=m)
+            np.multiply(g, 1 - b1, out=a)
+            np.add(m, a, out=m)
+            np.multiply(v, b2, out=v)
+            np.multiply(g, 1 - b2, out=a)
+            np.multiply(a, g, out=a)
+            np.add(v, a, out=v)
+            np.divide(m, c1, out=a)  # m_hat
+            np.multiply(a, lr, out=a)
+            np.divide(v, c2, out=b)  # v_hat
+            np.sqrt(b, out=b)
+            np.add(b, ADAM_EPS, out=b)
+            np.divide(a, b, out=a)
+            np.subtract(x, a, out=x)
 
 
 # -- checkpoints -----------------------------------------------------

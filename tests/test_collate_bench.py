@@ -101,3 +101,27 @@ def test_refuses_a_side_whose_records_come_from_different_code(tmp_path, collate
         f"error: {change}: records from 2 source states (bbbbbb, cccccc); rerun in a fresh checkout\n"
     )
     assert not (tmp_path / "out.json").exists()
+
+
+def test_commit_flags_name_the_commits_of_records_that_carry_none(tmp_path, collate_bench, capsys):
+    # records run from a git archive checkout carry git_commit null
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (1, 2):
+        write_record(parent, "tree-build", seed, 0, "aaa", e2e(10.0))
+        write_record(change, "tree-build", seed, 0, "bbb", e2e(12.0))
+    for rec in (parent / ".perfbench").iterdir():
+        blob = json.loads(rec.read_text())
+        blob["provenance"]["git_commit"] = None
+        rec.write_text(json.dumps(blob))
+    out = tmp_path / "out.json"
+    base = ["--parent", str(parent), "--change", str(change), "--out", str(out)]
+    assert collate_bench.main(base) == 0  # older records, no flags: still collated
+    bench = json.loads(out.read_text())
+    assert (bench["parent"]["commits"], bench["change"]["commits"]) == (["None"], ["bbb"])
+    assert collate_bench.main(base + ["--parent-commit", "aaa", "--change-commit", "bbb"]) == 0
+    bench = json.loads(out.read_text())
+    assert (bench["parent"]["commits"], bench["change"]["commits"]) == (["aaa"], ["bbb"])
+    out.unlink()
+    assert collate_bench.main(base + ["--parent-commit", "aaa", "--change-commit", "ccc"]) == 1
+    assert capsys.readouterr().err == f"error: {change}: records of commit bbb, not the given ccc\n"
+    assert not out.exists()

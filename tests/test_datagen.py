@@ -10,6 +10,7 @@ from hill import datagen
 from hill.datagen import (
     Example,
     LabelHierarchy,
+    PackedExamples,
     _checked_ids,
     _ids_by_doc,
     check_ids,
@@ -328,3 +329,38 @@ def test_load_dataset_without_limits_still_rejects_negative_ids(tmp_path):
     p.write_text('{"labels": [7, 99]}\n{"labels": [-1]}\n', encoding="utf-8")
     with pytest.raises(ValueError, match="line 2: label id -1 is negative"):
         load_dataset(p)
+
+
+def packed_cases():
+    corpus = gen_corpus(gen_hierarchy(3, 4), 300, 2048, seed=8)
+    rng = np.random.default_rng(3)
+    with_empty = corpus[:20] + [Example([], [1]), Example([], [])] + corpus[20:40]
+    cases = [(corpus, rng.integers(0, len(corpus), size=n)) for n in (32, 32, 17, 300)]
+    cases += [(corpus, rng.permutation(len(corpus))[:32]), (corpus, [5]), (corpus, [])]
+    cases += [(with_empty, [20]), (with_empty, [21, 3, 20, 21]), (with_empty, np.arange(len(with_empty)))]
+    cases += [([Example([], []), Example([], [])], [1, 0])]  # no ids at all
+    return cases
+
+
+@pytest.mark.parametrize("docs,idx", packed_cases())
+def test_packed_batches_equal_count_and_label_matrices(docs, idx):
+    packed = PackedExamples(docs, 2048, 85)
+    batch = [docs[i] for i in idx]
+    for got, want in ((packed.count_matrix(idx), count_matrix(batch, 2048)),
+                      (packed.label_matrix(idx), label_matrix(batch, 85))):
+        assert got.shape == want.shape == (len(batch), want.shape[1])
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "docs,message",
+    [([Example([0], [0])] * doc + [Example(**_bad_doc(field, ids))], f"doc {doc}: {message}")
+     for field, doc, ids, message in BAD_IDS]
+    # a bad token id is named before a bad label id in an earlier document
+    + [([Example([0], [0]), Example([0], [9]), Example([9], [0])], r"doc 2: token id 9 outside \[0, 4\)")],
+)
+def test_packing_refuses_what_check_ids_refuses(docs, message):
+    for check in (check_ids, PackedExamples):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check(docs, VOCAB, LABELS)

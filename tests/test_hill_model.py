@@ -8,9 +8,10 @@ import pytest
 from hill import tensor_nn as tn
 from hill.datagen import Example, count_matrix, gen_corpus, gen_hierarchy, hierarchy_to_graph, label_matrix
 from hill.entropy_min import build_coding_tree
-from hill.experiments import DEFAULT_VOCAB, default_dataset
+from hill.experiments import DEFAULT_VOCAB, build_model, default_dataset
 from hill.hill_model import (
     BCE_CLAMP,
+    BagOfWordsEncoder,
     HillConfig,
     HillModel,
     LabelProjector,
@@ -603,3 +604,124 @@ def test_training_is_deterministic():
     rep_a = train(model_a, docs, docs, config)
     rep_b = train(model_b, docs, docs, config)
     assert rep_a == rep_b
+
+
+# -- the embedding path, bit for bit ---------------------------------
+
+
+def dense_encoder_backward(encoder, grad_h, ctx):
+    """BagOfWordsEncoder.backward with the full counts.T @ gsum product
+    over every token row: the reference the touched-rows form must match
+    bit for bit."""
+    counts, z, lctx = ctx
+    gsum = encoder.lin.backward(tn.relu_backward(grad_h, z), lctx)
+    encoder.embedding.grad += counts.T @ gsum
+
+
+def embedding_grads(model, counts, y, monkeypatch):
+    """The embedding gradient of one forward/backward, by the encoder's
+    backward and by the dense reference, each from zeroed gradients."""
+    _, _, ctx = model.forward_batch(counts, y)
+    out = []
+    for dense in (False, True):
+        model.zero_grad()
+        with monkeypatch.context() as patch:
+            if dense:
+                patch.setattr(BagOfWordsEncoder, "backward", dense_encoder_backward)
+            model.backward(ctx)
+        out.append(model.encoder.embedding.grad.copy())
+    return out
+
+
+def test_embedding_gradient_equals_the_dense_product_bit_for_bit(monkeypatch):
+    hierarchy, train_docs, _ = default_dataset()
+    config = HillConfig()
+    model = build_model(config, hierarchy)
+    perm = np.random.default_rng(0).permutation(len(train_docs))
+    for start in range(0, 50 * config.batch_size, config.batch_size):
+        batch = [train_docs[i] for i in perm[start : start + config.batch_size]]
+        got, want = embedding_grads(
+            model, count_matrix(batch, DEFAULT_VOCAB), label_matrix(batch, hierarchy.num_labels),
+            monkeypatch,
+        )
+        assert np.count_nonzero(want.any(axis=1)) < DEFAULT_VOCAB // 2  # most rows untouched
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+def test_embedding_gradient_bit_for_bit_on_edge_documents(monkeypatch):
+    # a repeated token, the last token id and a document with no tokens,
+    # which only lambda_clr = 0 accepts
+    hierarchy = gen_hierarchy(3, 4)
+    model = build_model(HillConfig(lambda_clr=0.0), hierarchy)
+    v = DEFAULT_VOCAB
+    docs = [Example([7, 7, 7, v - 1], [1, 5]), Example([], [2]), Example([v - 1, 0, 7], [3])]
+    got, want = embedding_grads(
+        model, count_matrix(docs, v), label_matrix(docs, hierarchy.num_labels), monkeypatch
+    )
+    assert np.count_nonzero(got.any(axis=1)) == 3
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+def test_default_step_kernel_call_counts(monkeypatch):
+    # one default forward_batch and backward on 32 documents calls
+    # check_finite 34 times and matmul 12 times; neither may grow
+    hierarchy, train_docs, _ = default_dataset(n_train=32, n_dev=1)
+    model = build_model(HillConfig(), hierarchy)
+    counts = count_matrix(train_docs, DEFAULT_VOCAB)
+    y = label_matrix(train_docs, hierarchy.num_labels)
+    calls = {"check_finite": 0, "matmul": 0}
+
+    def counted(name):
+        fn = getattr(tn, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(tn, name, counted(name))
+    _, _, ctx = model.forward_batch(counts, y)
+    model.backward(ctx)
+    assert calls["check_finite"] <= 34
+    assert calls["matmul"] <= 12
+
+
+def longdouble_paper_literal(h, h_hat, tau):
+    """The paper_literal loss and its gradient in np.longdouble, each
+    anchor's sums over the other anchors taken directly."""
+    h, h_hat, tau = h.astype(np.longdouble), h_hat.astype(np.longdouble), np.longdouble(tau)
+    nu = np.sqrt((h * h).sum(axis=1, keepdims=True))
+    nv = np.sqrt((h_hat * h_hat).sum(axis=1, keepdims=True))
+    u, v = h / nu, h_hat / nv
+    s = (u * v).sum(axis=1)
+    a = s / tau
+    e = np.exp(a - a.max())
+    b = len(s)
+    others = ~np.eye(b, dtype=bool)
+    denom = np.array([e[others[i]].sum() for i in range(b)])
+    loss = np.mean(-a + a.max() + np.log(denom))
+    inv = 1 / denom
+    ds = (-1 + e * np.array([inv[others[i]].sum() for i in range(b)])) / (b * tau)
+    gh = ds[:, None] * (v - s[:, None] * u) / nu
+    gh_hat = ds[:, None] * (u - s[:, None] * v) / nv
+    return loss, gh, gh_hat
+
+
+def test_paper_literal_nt_xent_is_finite_when_one_pair_dominates():
+    # anchor 0's positive pair holds nearly all of the sum, so total - e
+    # cancels to 0 there and the loss read -inf
+    rng = np.random.default_rng(0)
+    h = rng.normal(size=(8, 8))
+    h_hat = rng.normal(size=(8, 8))
+    h_hat[0] = h[0]
+    loss, ctx = nt_xent(h, h_hat, 0.01, "paper_literal")
+    ref_loss, ref_gh, ref_gh_hat = longdouble_paper_literal(h, h_hat, 0.01)
+    assert math.isfinite(loss)
+    assert loss == pytest.approx(95.8346, abs=1e-4)
+    assert loss == pytest.approx(float(ref_loss), rel=1e-14)
+    for got, want in zip(nt_xent_backward(ctx), (ref_gh, ref_gh_hat)):
+        want = want.astype(np.float64)
+        assert np.all(np.isfinite(got))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

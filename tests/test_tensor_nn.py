@@ -260,3 +260,31 @@ def test_max_rel_error_floor():
     assert tn.max_rel_error([0.0], [0.0]) == 0.0
     assert tn.max_rel_error([1.0], [1.0 + 1e-9]) < 1e-6
     assert tn.max_rel_error([1.0], [2.0]) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("shapes", [
+    # about 2.5 slices: not a multiple of the slice, and parameters that
+    # straddle slice boundaries
+    [(3, 7), (tn.ADAM_BLOCK // 2 + 3, 4), (1, tn.ADAM_BLOCK // 2 - 5)],
+    [(5, 6), (1, 9)],  # smaller than one slice
+])
+def test_sliced_adam_matches_textbook_bit_for_bit(shapes):
+    size = sum(r * c for r, c in shapes)
+    assert size % tn.ADAM_BLOCK and (size < tn.ADAM_BLOCK or 2 * tn.ADAM_BLOCK < size < 3 * tn.ADAM_BLOCK)
+    rng = np.random.default_rng(13)
+    params = [tn.Parameter(f"p{i}", rng.normal(size=s)) for i, s in enumerate(shapes)]
+    ref = [p.value.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    opt = tn.Adam(params, lr=0.003)
+    for t in range(1, 6):
+        grads = [rng.normal(scale=10.0 ** rng.integers(-4, 3), size=s) for s in shapes]
+        for p, g in zip(params, grads):
+            p.zero_grad()
+            p.grad += g
+        opt.step()
+        ref = textbook_adam(ref, grads, m, v, t, lr=0.003)
+        for p, r in zip(params, ref):
+            assert np.array_equal(p.value, r) and p.value.tobytes() == r.tobytes()
+        assert opt.m.tobytes() == np.concatenate([x.ravel() for x in m]).tobytes()
+        assert opt.v.tobytes() == np.concatenate([x.ravel() for x in v]).tobytes()
