@@ -205,13 +205,19 @@ def build_two_level(tree: CodingTree, v_id: int) -> list:
     return [[kids[i] for i in run] for _, run in runs]
 
 
-def _log_level(tree: CodingTree, won: str, steps, start: float) -> None:
-    """Log one refinement level; `steps` are the winner's groups, one list
-    per `build_two_level` call. A step over n children made max(n - 2, 0)
-    compresses, and removed each compressed node not left as a group."""
+def _log_level(tree: CodingTree, won: str, start: float) -> None:
+    """Log one refinement level at INFO, reading each refined node's new
+    children from the merged tree: the root's, or every layer-2 node's
+    when the in-place candidate won. Each new child holds one group of
+    that node's `build_two_level` step; a step over n children made
+    max(n - 2, 0) compresses, and removed each compressed node not left
+    as a group."""
+    if not log.isEnabledFor(logging.INFO):
+        return
     seconds = time.perf_counter() - start
     compresses = removals = 0
-    for groups in steps:
+    for v in [tree.root_id] if won == "root" else tree.layer(2):
+        groups = [tree.nodes[c].children for c in tree.nodes[v].children]
         made = max(sum(map(len, groups)) - 2, 0)
         compresses += made
         removals += made - sum(len(grp) > 1 for grp in groups)
@@ -227,32 +233,23 @@ def build_coding_tree(g: Graph, k: int) -> CodingTree:
         raise ValueError(f"height must be at least 2, got {k}")
     if k >= g.node_count:
         raise ValueError(f"height {k} not realizable on {g.node_count} vertices")
-    logged = log.isEnabledFor(logging.INFO)
-    start = time.perf_counter() if logged else 0.0
+    start = time.perf_counter()
     tree = initial_tree(g)
-    groups = build_two_level(tree, tree.root_id)
-    tree.merge(tree.root_id, groups)
-    if logged:
-        _log_level(tree, "root", [groups], start)
+    tree.merge(tree.root_id, build_two_level(tree, tree.root_id))
+    _log_level(tree, "root", start)
     while tree.height < k:
-        if logged:
-            start, in_place = time.perf_counter(), []
+        start = time.perf_counter()
         # candidate 1: refine the partition at the root, on a copy
         t1 = tree.copy()
-        groups = build_two_level(t1, t1.root_id)
-        t1.merge(t1.root_id, groups)
+        t1.merge(t1.root_id, build_two_level(t1, t1.root_id))
         # candidate 2, in place: refine below every parent-of-leaves node
         # (each merge keeps all leaves at one depth, so those are layer 1)
         for v in tree.layer(1):
-            below = build_two_level(tree, v)
-            tree.merge(v, below)
-            if logged:
-                in_place.append(below)
+            tree.merge(v, build_two_level(tree, v))
         won = "in place"
         if t1.structural_entropy() < tree.structural_entropy():  # a tie keeps candidate 2
             tree, won = t1, "root"
-        if logged:
-            _log_level(tree, won, [groups] if won == "root" else in_place, start)
+        _log_level(tree, won, start)
     return tree
 
 

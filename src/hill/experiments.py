@@ -1,6 +1,8 @@
 """Reusable experiment recipes on the default synthetic dataset: single
-training runs, the contrastive-weight comparison, and the tree-height
-sweep."""
+training runs, and `compare`, which trains arms of config fields per seed.
+`scripts/compare.py` runs the paper's two ablations with it: the tree
+height (`--ks 2 3 4 5 --epochs 8`) and the contrastive weight (`--lam 0.1
+--seeds 42 43 44`)."""
 
 from __future__ import annotations
 
@@ -44,34 +46,24 @@ def run_training(config: HillConfig, hierarchy, train_docs, dev_docs, vocab=DEFA
     return model, report
 
 
-def lambda_comparison(base_config: HillConfig, seeds, hierarchy, train_docs, dev_docs,
-                      vocab=DEFAULT_VOCAB, lam=0.1):
-    """Final dev Macro-F1 of the contrastive run vs the pure-classifier
-    run, per seed."""
-    out = []
+def compare(base_config: HillConfig, arms, seeds, hierarchy, train_docs, dev_docs,
+            vocab=DEFAULT_VOCAB):
+    """One training run per seed and arm, an arm being a dict of config
+    fields set on `base_config`; per seed, each arm with its final dev F1,
+    in the given order."""
+    rows = []
     for seed in seeds:
-        with_clr = replace(base_config, lambda_clr=lam, seed=seed)
-        without = replace(base_config, lambda_clr=0.0, seed=seed)
-        _, rep_with = run_training(with_clr, hierarchy, train_docs, dev_docs, vocab)
-        _, rep_without = run_training(without, hierarchy, train_docs, dev_docs, vocab)
-        out.append(
-            {
-                "seed": seed,
-                "macro_with_clr": rep_with[-1]["dev_macro_f1"],
-                "macro_without_clr": rep_without[-1]["dev_macro_f1"],
-            }
-        )
-    return out
+        row = {"seed": seed, "arms": []}
+        for arm in arms:
+            config = replace(base_config, **arm, seed=seed)
+            last = run_training(config, hierarchy, train_docs, dev_docs, vocab)[1][-1]
+            row["arms"].append({**arm, **{f: last[f] for f in ("dev_micro_f1", "dev_macro_f1")}})
+        rows.append(row)
+    return rows
 
 
 def k_sweep(base_config: HillConfig, ks, hierarchy, train_docs, dev_docs, vocab=DEFAULT_VOCAB):
-    """Dev F1 per coding-tree height; used to probe non-monotonicity in K."""
-    results = {}
-    for k in ks:
-        config = replace(base_config, K=k)
-        _, report = run_training(config, hierarchy, train_docs, dev_docs, vocab)
-        results[k] = {
-            "dev_micro_f1": report[-1]["dev_micro_f1"],
-            "dev_macro_f1": report[-1]["dev_macro_f1"],
-        }
-    return results
+    """Dev F1 per coding-tree height at `base_config.seed`."""
+    [row] = compare(base_config, [{"K": k} for k in ks], [base_config.seed],
+                    hierarchy, train_docs, dev_docs, vocab)
+    return {arm.pop("K"): arm for arm in row["arms"]}

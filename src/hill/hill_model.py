@@ -282,6 +282,25 @@ def _sum_of_others(x):
     return out
 
 
+def _retake_underflowed_sum(a, denom, terms):
+    """Only the argmax anchor's sum over the others can underflow to 0.0
+    (every other one holds its exp(0) = 1). Re-take that sum shifted by
+    the largest other logit, set that anchor's loss term in `terms`, and
+    return its softmax weights over the others (0 at itself); None when
+    no sum is 0.0, which leaves every result as it was."""
+    zero = np.flatnonzero(denom == 0.0)
+    if zero.size == 0:
+        return None
+    i = zero[0]
+    shift = np.delete(a, i).max()
+    shifted = a - shift
+    shifted[i] = -np.inf
+    w = np.exp(shifted)
+    total = w.sum()
+    terms[i] = -a[i] + shift + np.log(total)
+    return w / total
+
+
 def nt_xent(h, h_hat, tau, form="simclr"):
     """Contrastive loss over cosine similarities of positive pairs
     (h_i, h_hat_i) against in-batch negatives; returns (loss, ctx).
@@ -316,8 +335,11 @@ def nt_xent(h, h_hat, tau, form="simclr"):
     m = a.max()
     e = np.exp(a - m)
     denom = _sum_of_others(e)  # per-anchor sum over j != i
-    loss = float(np.mean(-a + m + np.log(denom)))
-    return loss, ("paper_literal", u, v, nu, nv, tau, s, e, denom)
+    with np.errstate(divide="ignore"):  # a 0.0 sum is re-taken below
+        terms = -a + m + np.log(denom)
+    retaken = _retake_underflowed_sum(a, denom, terms)
+    loss = float(np.mean(terms))
+    return loss, ("paper_literal", u, v, nu, nv, tau, s, e, denom, retaken)
 
 
 def _cosine_rows_backward(g_unit, unit, norms):
@@ -338,10 +360,14 @@ def nt_xent_backward(ctx):
         gh = _cosine_rows_backward(gz[:b], z[:b], nu)
         gh_hat = _cosine_rows_backward(gz[b:], z[b:], nv)
         return gh, gh_hat
-    _, u, v, nu, nv, tau, s, e, denom = ctx
+    _, u, v, nu, nv, tau, s, e, denom, retaken = ctx
     b = len(u)
-    inv = 1.0 / denom
-    ds = (-1.0 + e * _sum_of_others(inv)) / (b * tau)
+    # d loss / d a_k = (-1 + sum over anchors i != k of e_k / denom_i) / b
+    inv = np.divide(1.0, denom, out=np.zeros_like(denom), where=denom > 0.0)
+    weights = e * _sum_of_others(inv)
+    if retaken is not None:  # that anchor's e_k / denom_i, at its own shift
+        weights += retaken
+    ds = (-1.0 + weights) / (b * tau)
     gu = ds[:, None] * (v - s[:, None] * u)
     gv = ds[:, None] * (u - s[:, None] * v)
     gh = gu / nu

@@ -27,6 +27,8 @@ def macro_f1(preds, golds, label_count: int) -> float:
     that occur are counted, and summed in increasing order."""
     if len(preds) != len(golds):
         raise ValueError(f"length mismatch: {len(preds)} predictions vs {len(golds)} golds")
+    if label_count < 1:
+        raise ValueError(f"label_count must be at least 1, got {label_count}")
     counts = {}  # label -> [tp, fp, fn]
     for p, g in zip(preds, golds):
         p, g = set(p), set(g)

@@ -14,18 +14,19 @@ from hill.hill_model import HillConfig
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_lambda_comparison_rows_are_the_runs_final_macro_f1():
+def test_compare_arms_are_the_runs_final_f1():
     hierarchy, train_docs, dev_docs = experiments.default_dataset(2, 2, 16, 8, 64, 0)
     config = HillConfig(d_B=8, d_V=4, epochs=1, batch_size=4)
-    rows = experiments.lambda_comparison(
-        config, [1, 2], hierarchy, train_docs, dev_docs, vocab=64, lam=0.3
-    )
+    arms = [{"lambda_clr": 0.3}, {"lambda_clr": 0.0, "eta": "mean"}]
+    rows = experiments.compare(config, arms, [1, 2], hierarchy, train_docs, dev_docs, vocab=64)
     assert [row["seed"] for row in rows] == [1, 2]
     for row in rows:
-        for key, lam in (("macro_with_clr", 0.3), ("macro_without_clr", 0.0)):
-            run = replace(config, lambda_clr=lam, seed=row["seed"])
+        assert len(row["arms"]) == len(arms)
+        for arm, fields in zip(row["arms"], arms):
+            run = replace(config, **fields, seed=row["seed"])
             _, report = experiments.run_training(run, hierarchy, train_docs, dev_docs, 64)
-            assert row[key] == report[-1]["dev_macro_f1"]
+            assert arm == {**fields, "dev_micro_f1": report[-1]["dev_micro_f1"],
+                           "dev_macro_f1": report[-1]["dev_macro_f1"]}
 
 
 @pytest.mark.parametrize("lambda_clr", [0.1, 0.0])
@@ -42,22 +43,42 @@ def test_run_training_refuses_empty_doc_only_for_contrastive_training(lambda_clr
 
 
 def run_script(name, *args):
-    """The script's one stdout JSON row, run against this checkout's src."""
+    """The script's (returncode, stdout lines, stderr), run against this
+    checkout's src."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     cmd = [sys.executable, str(ROOT / "scripts" / name), *args]
     proc = subprocess.run(
         cmd, capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path}
     )
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
+    return proc.returncode, proc.stdout.splitlines(), proc.stderr
+
+
+def compare_row(*args):
+    """compare.py's one stdout JSON row."""
+    code, lines, stderr = run_script("compare.py", *args)
+    assert code == 0, stderr
     assert len(lines) == 1, lines
     return json.loads(lines[0])
 
 
 def test_experiment_scripts_train_the_same_default_run():
-    # both recipes train the default config at seed 42, one epoch, lambda 0.1
-    sweep = run_script("k_sweep.py", "--ks", "2", "--epochs", "1")
-    assert set(sweep) == {"K", "dev_micro_f1", "dev_macro_f1"} and sweep["K"] == 2
-    lam = run_script("lambda_comparison.py", "--seeds", "42", "--epochs", "1")
-    assert set(lam) == {"seed", "macro_with_clr", "macro_without_clr"} and lam["seed"] == 42
-    assert sweep["dev_macro_f1"] == lam["macro_with_clr"]
+    # both ablations train the default config at seed 42, one epoch, lambda 0.1
+    sweep = compare_row("--ks", "2", "--epochs", "1")
+    assert sweep["seed"] == 42 and [arm["K"] for arm in sweep["arms"]] == [2]
+    lam = compare_row("--lam", "0.1", "--seeds", "42", "--epochs", "1")
+    assert lam["seed"] == 42 and [arm["lambda_clr"] for arm in lam["arms"]] == [0.1, 0.0]
+    assert set(sweep["arms"][0]) == {"K", "dev_micro_f1", "dev_macro_f1"}
+    for f in ("dev_micro_f1", "dev_macro_f1"):
+        assert sweep["arms"][0][f] == lam["arms"][0][f]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--ks", "99", "--epochs", "1"], "error: height 99 not realizable on 85 vertices"),
+        (["--lam", "0.1", "--epochs", "0"], "error: epochs must be at least 1, got 0"),
+    ],
+)
+def test_compare_script_fails_with_one_error_line(args, message):
+    code, lines, stderr = run_script("compare.py", *args)
+    assert (code, lines, stderr.splitlines()) == (1, [], [message])

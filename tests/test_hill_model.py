@@ -1,6 +1,8 @@
+import json
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +76,13 @@ def test_config_json_round_trip(tmp_path):
     config.to_json_file(path)
     assert HillConfig.from_json_file(path) == config
     assert HillConfig.from_json_file(path, seed=7).seed == 7
+
+
+def test_default_config_file_holds_the_config_defaults():
+    # perfbench and scripts/diff_training.py read the file; hill train
+    # without --config uses HillConfig()
+    path = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+    assert json.loads(path.read_text(encoding="utf-8")) == asdict(HillConfig())
 
 
 def test_config_accepts_reported_settings():
@@ -720,6 +729,24 @@ def test_paper_literal_nt_xent_is_finite_when_one_pair_dominates():
     ref_loss, ref_gh, ref_gh_hat = longdouble_paper_literal(h, h_hat, 0.01)
     assert math.isfinite(loss)
     assert loss == pytest.approx(95.8346, abs=1e-4)
+    assert loss == pytest.approx(float(ref_loss), rel=1e-14)
+    for got, want in zip(nt_xent_backward(ctx), (ref_gh, ref_gh_hat)):
+        want = want.astype(np.float64)
+        assert np.all(np.isfinite(got))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_paper_literal_nt_xent_is_finite_when_the_argmax_sum_underflows():
+    # at tau=0.001 every exp(a_j - max) but anchor 0's own underflows, so
+    # anchor 0's sum over the others is exactly 0.0 and the loss read -inf
+    rng = np.random.default_rng(0)
+    h = rng.normal(size=(8, 8))
+    h_hat = rng.normal(size=(8, 8))
+    h_hat[0] = h[0]
+    loss, ctx = nt_xent(h, h_hat, 0.001, "paper_literal")
+    ref_loss, ref_gh, ref_gh_hat = longdouble_paper_literal(h, h_hat, 0.001)
+    assert math.isfinite(loss)
+    assert loss == pytest.approx(958.3464, abs=1e-4)
     assert loss == pytest.approx(float(ref_loss), rel=1e-14)
     for got, want in zip(nt_xent_backward(ctx), (ref_gh, ref_gh_hat)):
         want = want.astype(np.float64)

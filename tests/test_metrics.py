@@ -73,6 +73,13 @@ def test_macro_rejects_out_of_range_label():
         macro_f1([{5}], [{0}], 2)
 
 
+@pytest.mark.parametrize("preds, golds", [([], []), ([set()], [set()]), ([{0}], [{0}])])
+@pytest.mark.parametrize("label_count", [0, -1])
+def test_macro_rejects_label_count_below_one(preds, golds, label_count):
+    with pytest.raises(ValueError, match=f"^label_count must be at least 1, got {label_count}$"):
+        macro_f1(preds, golds, label_count)
+
+
 def _random_sets(rng, n, label_count):
     return [
         {int(y) for y in np.nonzero(rng.random(label_count) < 0.3)[0]} for _ in range(n)
