@@ -281,8 +281,9 @@ class CodingTree:
     @classmethod
     def from_json(cls, graph: Graph, text: str) -> "CodingTree":
         """Tree from the text `to_json` writes; leaves mark graph vertices
-        in the order they are listed. Raises ValueError on any malformed
-        or inconsistent input."""
+        in the order they are listed, and a `height` key, if present, must
+        be the tree's. Raises ValueError on any malformed or inconsistent
+        input."""
         obj = json.loads(text)
         entries = obj.get("nodes") if isinstance(obj, dict) else None
         if not isinstance(entries, list):
@@ -334,6 +335,9 @@ class CodingTree:
             n = tree.nodes[nid]
             n.subset, n.volume, n.cut = s, subset_volume(graph, s), cut_size(graph, s)
         tree.validate()
+        height = obj.get("height", tree.height)
+        if not _is_id(height) or height != tree.height:
+            raise ValueError(f"tree JSON height {height!r} != tree height {tree.height}")
         return tree
 
 

@@ -270,44 +270,24 @@ def _normalize_rows(x, name):
     return x / norms, norms
 
 
-def _sum_of_others(x):
-    """x.sum() - x for a vector of positive entries, without the
-    cancellation that form suffers at an entry holding more than half of
-    the sum (at most one can): that entry's others are summed directly.
-    Every other entry keeps x.sum() - x, bit for bit."""
-    total = x.sum()
-    out = total - x
-    for i in np.flatnonzero(x > total / 2):
-        out[i] = np.delete(x, i).sum()
-    return out
-
-
-def _retake_underflowed_sum(a, denom, terms):
-    """Only the argmax anchor's sum over the others can underflow to 0.0
-    (every other one holds its exp(0) = 1). Re-take that sum shifted by
-    the largest other logit, set that anchor's loss term in `terms`, and
-    return its softmax weights over the others (0 at itself); None when
-    no sum is 0.0, which leaves every result as it was."""
-    zero = np.flatnonzero(denom == 0.0)
-    if zero.size == 0:
-        return None
-    i = zero[0]
-    shift = np.delete(a, i).max()
-    shifted = a - shift
-    shifted[i] = -np.inf
-    w = np.exp(shifted)
-    total = w.sum()
-    terms[i] = -a[i] + shift + np.log(total)
-    return w / total
+def _off_diagonal_lse(logits):
+    """Per-row log-sum-exp over the off-diagonal entries of a square
+    matrix, each row shifted by its max; writes -inf on its diagonal."""
+    np.fill_diagonal(logits, -np.inf)
+    row_max = logits.max(axis=1, keepdims=True)
+    return row_max[:, 0] + np.log(np.exp(logits - row_max).sum(axis=1))
 
 
 def nt_xent(h, h_hat, tau, form="simclr"):
     """Contrastive loss over cosine similarities of positive pairs
     (h_i, h_hat_i) against in-batch negatives; returns (loss, ctx).
-
-    form="simclr": symmetric in-batch negatives over both views.
-    form="paper_literal": denominator sums the other samples' positive
-    similarities only (kept for fidelity testing).
+    Both forms are mean_i(log sum_{j != i} exp(l_ij) - l_i+) over the
+    off-diagonal entries of a square logit matrix l:
+    form="simclr": l = z z^T / tau over z, the 2b unit rows of both
+    views, and i+ is row i's other view.
+    form="paper_literal": l_ij = s_j / tau over s_j = u_j . v_j, the
+    positive similarities only, and l_i+ = s_i / tau (kept for fidelity
+    testing).
     """
     h = tn.as_matrix(h, "nt_xent view 1")
     h_hat = tn.as_matrix(h_hat, "nt_xent view 2")
@@ -323,23 +303,16 @@ def nt_xent(h, h_hat, tau, form="simclr"):
     if form == "simclr":
         z = np.vstack([u, v])
         sims = (z @ z.T) / tau
-        np.fill_diagonal(sims, -np.inf)  # the positives lie off the diagonal
-        row_max = sims.max(axis=1, keepdims=True)
-        lse = row_max[:, 0] + np.log(np.exp(sims - row_max).sum(axis=1))
+        lse = _off_diagonal_lse(sims)  # the positives lie off the diagonal
         pos = np.concatenate([np.arange(b) + b, np.arange(b)])
         loss = float(np.mean(lse - sims[np.arange(2 * b), pos]))
         return loss, ("simclr", z, nu, nv, tau, sims, lse, pos)
-    # paper_literal
-    s = np.sum(u * v, axis=1)
-    a = s / tau
-    m = a.max()
-    e = np.exp(a - m)
-    denom = _sum_of_others(e)  # per-anchor sum over j != i
-    with np.errstate(divide="ignore"):  # a 0.0 sum is re-taken below
-        terms = -a + m + np.log(denom)
-    retaken = _retake_underflowed_sum(a, denom, terms)
-    loss = float(np.mean(terms))
-    return loss, ("paper_literal", u, v, nu, nv, tau, s, e, denom, retaken)
+    # paper_literal: each row holds every anchor's positive logit
+    a = np.sum(u * v, axis=1) / tau
+    others = np.tile(a, (b, 1))
+    lse = _off_diagonal_lse(others)
+    loss = float(np.mean(lse - a))
+    return loss, ("paper_literal", u, v, nu, nv, tau, others, lse)
 
 
 def _cosine_rows_backward(g_unit, unit, norms):
@@ -360,19 +333,11 @@ def nt_xent_backward(ctx):
         gh = _cosine_rows_backward(gz[:b], z[:b], nu)
         gh_hat = _cosine_rows_backward(gz[b:], z[b:], nv)
         return gh, gh_hat
-    _, u, v, nu, nv, tau, s, e, denom, retaken = ctx
-    b = len(u)
-    # d loss / d a_k = (-1 + sum over anchors i != k of e_k / denom_i) / b
-    inv = np.divide(1.0, denom, out=np.zeros_like(denom), where=denom > 0.0)
-    weights = e * _sum_of_others(inv)
-    if retaken is not None:  # that anchor's e_k / denom_i, at its own shift
-        weights += retaken
-    ds = (-1.0 + weights) / (b * tau)
-    gu = ds[:, None] * (v - s[:, None] * u)
-    gv = ds[:, None] * (u - s[:, None] * v)
-    gh = gu / nu
-    gh_hat = gv / nv
-    return gh, gh_hat
+    _, u, v, nu, nv, tau, others, lse = ctx
+    # d loss / d a_k = (-1 + sum over anchors i of softmax_i(k)) / b
+    weights = np.exp(others - lse[:, None]).sum(axis=0)
+    ds = ((weights - 1.0) / (len(u) * tau))[:, None]
+    return _cosine_rows_backward(ds * v, u, nu), _cosine_rows_backward(ds * u, v, nv)
 
 
 def bce_loss(p, y):

@@ -625,6 +625,8 @@ def test_train_input_errors_name_the_file(tmp_path, capsys, tiny_data, name, con
         ("build-tree", _NOT_UTF8, "line 1: byte 0xff is not UTF-8"),
         ("entropy", b'{"nodes": 3}', "tree JSON must be an object with a 'nodes' list"),
         ("entropy", _NOT_UTF8, "'utf-8' codec can't decode"),
+        ("entropy", json.dumps({"height": 7, "nodes": _CYCLE4_TREE}).encode(),
+         "tree JSON height 7 != tree height 1"),
         ("eval", b'{"labels": [1]}\n{"labels": [\n', "line 2: Expecting value"),
         # a form feed or U+2028 ends no line, as in a text-mode read
         ("build-tree", b"0 1\f\n1 x\n", "line 2: non-integer vertex id in '1 x'"),
@@ -635,6 +637,7 @@ def test_train_input_errors_name_the_file(tmp_path, capsys, tiny_data, name, con
         "graph-not-utf8",
         "tree-bad",
         "tree-not-utf8",
+        "tree-wrong-height",
         "pred-truncated-line",
         "graph-form-feed",
         "graph-line-separator",

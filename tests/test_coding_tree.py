@@ -206,6 +206,9 @@ def test_json_round_trip(bridge_triangles):
     assert back.height == tree.height
     assert back.structural_entropy() == pytest.approx(tree.structural_entropy(), abs=1e-12)
     assert back.to_json() == text
+    # the height key is checked when present, and optional
+    nodes = json.dumps({"nodes": json.loads(text)["nodes"]})
+    assert CodingTree.from_json(bridge_triangles, nodes).to_json() == text
 
 
 def test_from_json_rejects_wrong_leaf_count(cycle4):
@@ -244,6 +247,9 @@ def _with(nodes, node_id, **fields):
         {"nodes": _with(_cycle4_nodes(), 0, id=True)},
         {"nodes": _with(_cycle4_nodes(), 0, parent="4")},
         {"nodes": _with(_cycle4_nodes(), 4, children=[0, 1, 2, 3.0])},
+        {"height": 7, "nodes": _cycle4_nodes()},  # the tree has height 1
+        {"height": "x", "nodes": _cycle4_nodes()},
+        {"height": True, "nodes": _cycle4_nodes()},
     ],
 )
 def test_from_json_rejects_malformed_input(cycle4, obj):

@@ -82,3 +82,15 @@ def test_experiment_scripts_train_the_same_default_run():
 def test_compare_script_fails_with_one_error_line(args, message):
     code, lines, stderr = run_script("compare.py", *args)
     assert (code, lines, stderr.splitlines()) == (1, [], [message])
+
+
+def test_compare_checks_every_arm_before_training_any(monkeypatch):
+    calls = []
+    report = [{"dev_micro_f1": 0.0, "dev_macro_f1": 0.0}]
+    monkeypatch.setattr(experiments, "train", lambda *args: calls.append(args) or report)
+    hierarchy, train_docs, dev_docs = experiments.default_dataset(2, 2, 16, 8, 64, 0)
+    config = HillConfig(d_B=8, d_V=4, epochs=1, batch_size=4)
+    with pytest.raises(ValueError, match="height 99 not realizable"):
+        experiments.compare(config, [{"K": 2}, {"K": 99}], [1, 2], hierarchy, train_docs,
+                            dev_docs, vocab=64)
+    assert calls == []
