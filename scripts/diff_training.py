@@ -12,7 +12,9 @@ files: dev micro- and macro-F1 must be identical in every epoch and
 train loss within 1e-6 relative. Both sides read this tree's configs.
 Exits 1 on any mismatch, and exits 1 before any run if a side's `hill`
 is not imported from that side's `src/hill` (say, an installed copy
-shadows a checkout without one). It also prints whether the two
+shadows a checkout without one). A failing `hill` command on either
+side ends the check with one `error:` line that names the checkout and
+quotes the command's last output line. It also prints whether the two
 `checkpoint.json` files of each run are byte-identical, and each side's
 peak resident set for `hill train` (the child's `ru_maxrss`, read when
 it is reaped); those lines are information only and do not affect the
@@ -37,15 +39,18 @@ CONFIG = TREE / "configs" / "default.json"
 VARIANT = {"K": 3, "eta": "mean", "ntxent_form": "paper_literal", "epochs": 3}
 
 
-def run_hill(cmd, env, log):
-    """Run one hill command with its output in `log`; return its peak
-    resident set in MB. Raises CalledProcessError on a nonzero exit."""
+def run_hill(tree, args, env, log):
+    """Run `hill <args>` with its output in `log`; return its peak
+    resident set in MB. On a nonzero exit, exit 1 naming `tree`, the
+    subcommand and the command's last output line."""
+    cmd = [sys.executable, "-m", "hill.cli", *args]
     with open(log, "w", encoding="utf-8") as out:
         proc = subprocess.Popen(cmd, env=env, stdout=out, stderr=subprocess.STDOUT)
     _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode:
-        raise subprocess.CalledProcessError(proc.returncode, cmd, Path(log).read_text("utf-8"))
+    code = os.waitstatus_to_exitcode(status)
+    if code:
+        last = (Path(log).read_text("utf-8", errors="replace").splitlines() or [""])[-1]
+        sys.exit(f"error: {tree}: hill {args[0]} exited {code}: {last}")
     return usage.ru_maxrss / 1024.0  # kilobytes on Linux
 
 
@@ -63,15 +68,14 @@ def run_reports(tree, workdir, configs):
     `hill train` in MB), all trained on one generated dataset."""
     env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"), OPENBLAS_NUM_THREADS="1")
     check_import(tree, env)
-    hill = [sys.executable, "-m", "hill.cli"]
     data, log = Path(workdir) / "data", Path(workdir) / "log.txt"
     seed = ["--seed", str(SEED)]
-    run_hill(hill + ["gen-data", "--out", str(data)] + seed, env, log)
+    run_hill(tree, ["gen-data", "--out", str(data)] + seed, env, log)
     out = []
     for i, config in enumerate(configs):
         run = Path(workdir) / f"run{i}"
         train = ["train", "--data", str(data), "--out", str(run), "--config", str(config)]
-        rss = run_hill(hill + train + seed, env, log)
+        rss = run_hill(tree, train + seed, env, log)
         lines = (run / "report.jsonl").read_text(encoding="utf-8").splitlines()
         report = [json.loads(line) for line in lines if line.strip()]
         out.append((report, (run / "checkpoint.json").read_bytes(), rss))

@@ -50,17 +50,17 @@ def compare(base_config: HillConfig, arms, seeds, hierarchy, train_docs, dev_doc
             vocab=DEFAULT_VOCAB):
     """One training run per seed and arm, an arm being a dict of config
     fields set on `base_config`; per seed, each arm with its final dev F1,
-    in the given order. Every arm's config and one coding tree per
-    distinct K are built before the first run, so a bad arm raises
-    before any training."""
-    configs = [replace(base_config, **arm) for arm in arms]
+    in the given order. Every (seed, arm) config and one coding tree per
+    distinct K are built before the first run, so a bad arm or seed
+    raises before any training."""
+    configs = [[replace(base_config, **arm, seed=seed) for arm in arms] for seed in seeds]
     graph = hierarchy_to_graph(hierarchy)
-    trees = {k: build_coding_tree(graph, k) for k in dict.fromkeys(c.K for c in configs)}
+    ks = dict.fromkeys(c.K for row in configs for c in row)
+    trees = {k: build_coding_tree(graph, k) for k in ks}
     rows = []
-    for seed in seeds:
+    for seed, seed_configs in zip(seeds, configs):
         row = {"seed": seed, "arms": []}
-        for arm, config in zip(arms, configs):
-            config = replace(config, seed=seed)
+        for arm, config in zip(arms, seed_configs):
             model = HillModel(config, vocab, hierarchy.num_labels, trees[config.K])
             last = train(model, train_docs, dev_docs, config)[-1]
             row["arms"].append({**arm, **{f: last[f] for f in ("dev_micro_f1", "dev_macro_f1")}})

@@ -84,13 +84,20 @@ def test_compare_script_fails_with_one_error_line(args, message):
     assert (code, lines, stderr.splitlines()) == (1, [], [message])
 
 
-def test_compare_checks_every_arm_before_training_any(monkeypatch):
+@pytest.mark.parametrize(
+    "arms, seeds, message",
+    [
+        ([{"K": 2}, {"K": 99}], [1, 2], "height 99 not realizable"),
+        ([{"K": 2}], [1, -1], "seed must be at least 0, got -1"),
+    ],
+    ids=["K=99", "seed=-1"],
+)
+def test_compare_checks_every_arm_before_training_any(monkeypatch, arms, seeds, message):
     calls = []
     report = [{"dev_micro_f1": 0.0, "dev_macro_f1": 0.0}]
     monkeypatch.setattr(experiments, "train", lambda *args: calls.append(args) or report)
     hierarchy, train_docs, dev_docs = experiments.default_dataset(2, 2, 16, 8, 64, 0)
     config = HillConfig(d_B=8, d_V=4, epochs=1, batch_size=4)
-    with pytest.raises(ValueError, match="height 99 not realizable"):
-        experiments.compare(config, [{"K": 2}, {"K": 99}], [1, 2], hierarchy, train_docs,
-                            dev_docs, vocab=64)
+    with pytest.raises(ValueError, match=message):
+        experiments.compare(config, arms, seeds, hierarchy, train_docs, dev_docs, vocab=64)
     assert calls == []
