@@ -39,6 +39,7 @@ import heapq
 import logging
 import math
 import time
+from collections import deque
 from itertools import groupby
 
 from .coding_tree import CodingTree, entropy_term, initial_tree
@@ -113,7 +114,7 @@ def _pair_merges(tree: CodingTree, v_id: int):
         if a < b
     ]
     heapq.heapify(heap)
-    by_id = list(range(n))  # alive ids, lowest first, for the no-adjacent-pair case
+    tail = None  # alive ids, lowest first, once no pair is adjacent (merged empty rows stay empty)
     slot = list(range(n)) + [None]  # each alive id's place among v's children
     merges = []
     for gamma in range(n + 1, 2 * n - 1):  # n - 2 compresses leave two children
@@ -122,12 +123,10 @@ def _pair_merges(tree: CodingTree, v_id: int):
         if heap:
             _, a, b = heapq.heappop(heap)
         else:  # every delta is exactly 0: the lowest-id pair wins the tie
-            pair = []
-            while len(pair) < 2:
-                x = heapq.heappop(by_id)
-                if rows[x] is not None:
-                    pair.append(x)
-            a, b = pair
+            if tail is None:
+                tail = deque(x for x, row in enumerate(rows) if row is not None)
+            a, b = tail.popleft(), tail.popleft()
+            tail.append(gamma)
         row, b_row = rows[a], rows[b]
         rows[a] = rows[b] = None
         cross = row.pop(b, 0)
@@ -143,7 +142,6 @@ def _pair_merges(tree: CodingTree, v_id: int):
             d = _compress_delta(w, vol[x], vol[gamma], v.volume, vol_g)
             heapq.heappush(heap, (d, x, gamma))
         rows.append(row)
-        heapq.heappush(by_id, gamma)
         slot.append(slot[a])
         merges.append((a, b, cross))
     top = sorted((x for x, row in enumerate(rows) if row is not None), key=slot.__getitem__)
@@ -296,8 +294,8 @@ def _layered_entropy(g: Graph, layers) -> float:
 
 
 def _tree_from_layers(g: Graph, layers) -> CodingTree:
-    """Build an explicit coding tree from bottom-up nested layers and
-    align it to uniform leaf depth."""
+    """Build an explicit coding tree from bottom-up nested layers. Each layer
+    partitions all the vertices or blocks, so every leaf is at depth len(layers) + 1."""
     tree = initial_tree(g)
     below = {frozenset({v}): v for v in range(g.node_count)}
     for layer in layers:
@@ -309,7 +307,6 @@ def _tree_from_layers(g: Graph, layers) -> CodingTree:
         below = current
     # set_partitions does not order blocks by their smallest element
     tree.nodes[tree.root_id].children.sort()
-    tree.align(len(layers) + 1)
     return tree
 
 

@@ -433,7 +433,7 @@ class HillModel:
             l_clr, ctx_pt, ctx_pp, ctx_nt = 0.0, None, None, None
         loss = total_loss(l_c, l_clr, lam)
         ctx = (p, ctx_bce, ctx_cls, ctx_enc, ctx_lp, ctx_s, ctx_pt, ctx_pp, ctx_nt)
-        return loss, {"loss": loss, "bce": l_c, "ntxent": l_clr, "probs": p}, ctx
+        return loss, {"bce": l_c, "ntxent": l_clr}, ctx
 
     def backward(self, ctx):
         p, ctx_bce, ctx_cls, ctx_enc, ctx_lp, ctx_s, ctx_pt, ctx_pp, ctx_nt = ctx

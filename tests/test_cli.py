@@ -2,6 +2,7 @@ import json
 import logging
 import math
 import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -16,6 +17,21 @@ from hill.hill_model import HillConfig
 
 CYCLE4 = "0 1\n1 2\n2 3\n3 0\n"
 BRIDGE = "0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n2 3\n"
+
+
+def cli_error(capsys, argv):
+    """Run `hill` and check that it failed through the one-line error path:
+    exit code 1, nothing on stdout, one stderr line starting `error: `, and
+    no `--out` path left behind. Returns that line."""
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    if "--out" in argv:
+        assert not Path(argv[argv.index("--out") + 1]).exists()
+    return lines[0]
 
 
 @pytest.fixture
@@ -147,21 +163,16 @@ def test_train_and_eval_round_trip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field,bad", [("tokens", -1), ("tokens", 64), ("tokens", 2.5), ("labels", 7)])
-def test_train_rejects_bad_ids(tmp_path, capsys, field, bad):
+def test_train_rejects_bad_ids(tmp_path, capsys, tiny_data, field, bad):
     data = tmp_path / "data"
-    args = ["gen-data", "--out", str(data), "--depth", "2", "--branching", "2"]
-    assert main(args + ["--n-train", "8", "--n-dev", "4", "--vocab", "64"]) == 0
+    shutil.copytree(tiny_data, data)
     rows = (data / "train.jsonl").read_text(encoding="utf-8").splitlines()
     row = json.loads(rows[3])
     row[field].append(bad)
     rows[3] = json.dumps(row)
     (data / "train.jsonl").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    capsys.readouterr()
-    rc = main(["train", "--data", str(data), "--out", str(tmp_path / "run")])
-    assert rc == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("error: ") and f"train.jsonl: line 4: {field[:-1]} id {bad!r} " in err[0]
+    err = cli_error(capsys, ["train", "--data", str(data), "--out", str(tmp_path / "run")])
+    assert f"train.jsonl: line 4: {field[:-1]} id {bad!r} " in err
 
 
 def test_eval_with_explicit_label_count(tmp_path, capsys):
@@ -185,29 +196,22 @@ def test_eval_memory_does_not_grow_with_the_largest_label_id(tmp_path, capsys):
 
 
 def test_missing_file_exits_nonzero(tmp_path, capsys):
-    rc = main(["oracle", "--graph", str(tmp_path / "nope.txt"), "--height", "2"])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("error:")
+    cli_error(capsys, ["oracle", "--graph", str(tmp_path / "nope.txt"), "--height", "2"])
 
 
 def test_bad_graph_exits_nonzero(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("0 0\n", encoding="utf-8")
-    rc = main(["build-tree", "--graph", str(p), "--height", "2"])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    cli_error(capsys, ["build-tree", "--graph", str(p), "--height", "2"])
 
 
 @pytest.mark.parametrize("value", ["verbose", "basic_format"])
 def test_bad_hill_log_exits_before_the_command_runs(tmp_path, capsys, monkeypatch, value):
     monkeypatch.setenv("HILL_LOG", value)
-    out = tmp_path / "data"
-    assert main(["gen-data", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
+    assert cli_error(capsys, ["gen-data", "--out", str(tmp_path / "data")]) == (
         "error: HILL_LOG must name a logging level such as error, info or debug, "
-        f"got {value!r}\n"
+        f"got {value!r}"
     )
-    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -229,18 +233,14 @@ def test_hill_log_names_the_level(bridge_file, capsys, monkeypatch, value, level
 @pytest.mark.parametrize(
     "meta", [{}, {"vocab_size": 0}, {"vocab_size": "64"}, {"vocab_size": 2.5}, [], "{"]
 )
-def test_train_rejects_bad_meta(tmp_path, capsys, meta):
+def test_train_rejects_bad_meta(tmp_path, capsys, tiny_data, meta):
     data = tmp_path / "data"
-    args = ["gen-data", "--out", str(data), "--depth", "2", "--branching", "2"]
-    assert main(args + ["--n-train", "8", "--n-dev", "4", "--vocab", "64"]) == 0
+    shutil.copytree(tiny_data, data)
     text = meta if isinstance(meta, str) else json.dumps(meta)  # a str is malformed JSON
     (data / "meta.json").write_text(text, encoding="utf-8")
-    capsys.readouterr()
-    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")]) == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert err[0].startswith(f"error: {data / 'meta.json'}: ")
-    assert isinstance(meta, str) or "vocab_size" in err[0]
+    err = cli_error(capsys, ["train", "--data", str(data), "--out", str(tmp_path / "run")])
+    assert err.startswith(f"error: {data / 'meta.json'}: ")
+    assert isinstance(meta, str) or "vocab_size" in err
 
 
 @pytest.fixture(scope="module")
@@ -296,28 +296,18 @@ def tiny_data(tmp_path_factory):
 def test_train_rejects_bad_config(tmp_path, capsys, tiny_data, text, why):
     config = tmp_path / "config.json"
     config.write_text(text, encoding="utf-8")
-    capsys.readouterr()
     args = ["train", "--data", str(tiny_data), "--out", str(tmp_path / "run")]
-    assert main(args + ["--config", str(config)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.strip().splitlines()
-    assert len(err) == 1
-    assert err[0].startswith(f"error: {config}: ") and why in err[0]
-    assert not (tmp_path / "run").exists()
+    err = cli_error(capsys, args + ["--config", str(config)])
+    assert err.startswith(f"error: {config}: ") and why in err
 
 
 @pytest.mark.parametrize("k", [7, 9])
 def test_train_rejects_unrealizable_height_before_writing(tmp_path, capsys, tiny_data, k):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"K": k}), encoding="utf-8")
-    capsys.readouterr()
-    run = tmp_path / "run"
-    assert main(["train", "--data", str(tiny_data), "--out", str(run), "--config", str(config)]) == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert err[0] == f"error: height {k} not realizable on 7 vertices"
-    assert not run.exists()
+    args = ["train", "--data", str(tiny_data), "--out", str(tmp_path / "run")]
+    err = cli_error(capsys, args + ["--config", str(config)])
+    assert err == f"error: height {k} not realizable on 7 vertices"
 
 
 @pytest.mark.parametrize("where", ["config", "meta"])
@@ -325,9 +315,9 @@ def test_train_refuses_a_model_too_big_for_memory_before_writing(tmp_path, capsy
                                                                   where):
     # a 64 x 10**16 embedding needs about 2**62 bytes, more than any address
     # space holds, so numpy's allocation fails at once instead of lazily
-    data, run = tmp_path / "data", tmp_path / "run"
+    data = tmp_path / "data"
     shutil.copytree(tiny_data, data)
-    args = ["train", "--data", str(data), "--out", str(run)]
+    args = ["train", "--data", str(data), "--out", str(tmp_path / "run")]
     if where == "config":
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"d_B": 10**16}), encoding="utf-8")
@@ -336,13 +326,7 @@ def test_train_refuses_a_model_too_big_for_memory_before_writing(tmp_path, capsy
         meta = json.loads((data / "meta.json").read_text(encoding="utf-8"))
         meta["vocab_size"] = 10**16
         (data / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
-    capsys.readouterr()
-    assert main(args) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
-    assert not run.exists()
+    cli_error(capsys, args)
 
 
 @pytest.mark.parametrize(
@@ -360,12 +344,8 @@ def test_train_rejects_bad_taxonomy_naming_the_file(tmp_path, capsys, tiny_data,
     taxonomy = data / "taxonomy.txt"
     rows = taxonomy.read_text(encoding="utf-8").splitlines()
     taxonomy.write_text("\n".join(edit(rows)) + "\n", encoding="utf-8")
-    capsys.readouterr()
-    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")]) == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert err[0].startswith(f"error: {taxonomy}: ") and why in err[0]
-    assert not (tmp_path / "run").exists()
+    err = cli_error(capsys, ["train", "--data", str(data), "--out", str(tmp_path / "run")])
+    assert err.startswith(f"error: {taxonomy}: ") and why in err
 
 
 @pytest.mark.parametrize("lambda_clr", [0.1, 0])
@@ -379,18 +359,11 @@ def test_train_refuses_empty_doc_only_for_contrastive_training(tmp_path, capsys,
     train.write_text("\n".join(rows) + "\n", encoding="utf-8")
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"lambda_clr": lambda_clr, "epochs": 1}), encoding="utf-8")
-    capsys.readouterr()
-    run = tmp_path / "run"
-    rc = main(["train", "--data", str(data), "--out", str(run), "--config", str(config)])
-    captured = capsys.readouterr()
+    args = ["train", "--data", str(data), "--out", str(tmp_path / "run"), "--config", str(config)]
     if lambda_clr == 0:
-        assert rc == 0 and captured.out.startswith("epoch 1 ")
-        return
-    assert rc == 1
-    err = captured.err.strip().splitlines()
-    assert len(err) == 1
-    assert err[0].startswith(f"error: {train}: example 3 has no tokens")
-    assert not run.exists()
+        assert main(args) == 0 and capsys.readouterr().out.startswith("epoch 1 ")
+    else:
+        assert cli_error(capsys, args).startswith(f"error: {train}: example 3 has no tokens")
 
 
 @pytest.mark.parametrize(
@@ -410,15 +383,9 @@ def test_train_refuses_untrainable_contrastive_runs_before_writing(
     shutil.copytree(tiny_data, data)
     bad = (tmp_path if name == "config.json" else data) / name
     bad.write_text(text, encoding="utf-8")
-    run = tmp_path / "run"
-    args = ["train", "--data", str(data), "--out", str(run)]
-    capsys.readouterr()
-    assert main(args + (["--config", str(bad)] if name == "config.json" else [])) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {bad}: {why}")
-    assert not run.exists()
+    args = ["train", "--data", str(data), "--out", str(tmp_path / "run")]
+    err = cli_error(capsys, args + (["--config", str(bad)] if name == "config.json" else []))
+    assert err.startswith(f"error: {bad}: {why}")
 
 
 def test_wide_taxonomy_trains_one_epoch(tmp_path, capsys):
@@ -450,13 +417,8 @@ def test_train_accepts_integers_for_float_fields(tmp_path, capsys, tiny_data):
 
 
 def test_gen_data_rejects_empty_vocabulary(tmp_path, capsys):
-    out = tmp_path / "data"
-    args = ["gen-data", "--out", str(out), "--depth", "2", "--branching", "2"]
-    assert main(args + ["--vocab", "0"]) == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("error: ") and "vocabulary size must be at least 1" in err[0]
-    assert not out.exists()
+    args = ["gen-data", "--out", str(tmp_path / "data"), "--depth", "2", "--branching", "2"]
+    assert "vocabulary size must be at least 1" in cli_error(capsys, args + ["--vocab", "0"])
 
 
 @pytest.mark.parametrize(
@@ -483,10 +445,7 @@ def test_bad_flag_is_blamed_on_the_flag(tmp_path, capsys, tiny_data, command, fl
     else:
         args = ["train", "--data", str(tiny_data), "--out", str(out)]
         args += ["--config", str(config)] if command == "train-config" else []
-    capsys.readouterr()
-    assert main(args + flags) == 1
-    assert capsys.readouterr().err.splitlines() == [f"error: {why}"]
-    assert not out.exists()
+    assert cli_error(capsys, args + flags) == f"error: {why}"
 
 
 def test_gen_data_defaults_are_the_experiment_defaults(tmp_path, capsys):
@@ -502,12 +461,7 @@ def test_gen_data_defaults_are_the_experiment_defaults(tmp_path, capsys):
 def test_eval_rejects_bad_label_count(tmp_path, capsys, labels):
     preds = tmp_path / "p.jsonl"
     save_dataset([Example(tokens=[], labels=[1, 3])], preds)
-    rc = main(["eval", "--pred", str(preds), "--gold", str(preds), "--labels", labels])
-    assert rc == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
+    cli_error(capsys, ["eval", "--pred", str(preds), "--gold", str(preds), "--labels", labels])
 
 
 # -- malformed tree JSON through `hill entropy` -------------------------
@@ -578,12 +532,7 @@ _not_a_tree = st.one_of(
 def test_entropy_rejects_malformed_tree_json(tmp_path, cycle4_file, capsys, obj):
     tree_path = tmp_path / "tree.json"
     tree_path.write_text(json.dumps(obj), encoding="utf-8")
-    capsys.readouterr()
-    assert main(["entropy", "--graph", str(cycle4_file), "--tree", str(tree_path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
+    cli_error(capsys, ["entropy", "--graph", str(cycle4_file), "--tree", str(tree_path)])
 
 
 _NOT_UTF8 = b"\xff\xfe not utf-8\n"
@@ -612,10 +561,8 @@ def test_train_input_errors_name_the_file(tmp_path, capsys, tiny_data, name, con
     data = tmp_path / "data"
     shutil.copytree(tiny_data, data)
     (data / name).write_bytes(content)
-    capsys.readouterr()
-    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")]) == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {data / name}: {why}")
+    err = cli_error(capsys, ["train", "--data", str(data), "--out", str(tmp_path / "run")])
+    assert err.startswith(f"error: {data / name}: {why}")
 
 
 @pytest.mark.parametrize(
@@ -651,10 +598,7 @@ def test_input_errors_name_the_file(tmp_path, capsys, cycle4_file, command, cont
         "entropy": ["entropy", "--graph", str(cycle4_file), "--tree", str(bad)],
         "eval": ["eval", "--pred", str(bad), "--gold", str(bad)],
     }[command]
-    capsys.readouterr()
-    assert main(argv) == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {bad}: {why}")
+    assert cli_error(capsys, argv).startswith(f"error: {bad}: {why}")
 
 
 DEEP_JSON = "[" * 100_000 + "]" * 100_000  # deeper than any recursion limit
@@ -678,22 +622,15 @@ def test_deeply_nested_json_is_one_error_line(
     shutil.copytree(tiny_data, data)
     bad = (data if name in ("meta.json", "train.jsonl") else tmp_path) / name
     bad.write_text(content, encoding="utf-8")
-    out = tmp_path / "run"
     argv = {
         "entropy": ["entropy", "--graph", str(cycle4_file), "--tree", str(bad)],
-        "train": ["train", "--data", str(data), "--out", str(out)],
+        "train": ["train", "--data", str(data), "--out", str(tmp_path / "run")],
         "eval": ["eval", "--pred", str(bad), "--gold", str(data / "dev.jsonl")],
     }[command]
     if name == "config.json":
         argv += ["--config", str(bad)]
-    capsys.readouterr()
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: {where}")
-    assert "recursion" in lines[0]
-    assert not out.exists()
+    err = cli_error(capsys, argv)
+    assert err.startswith(f"error: {bad}: {where}") and "recursion" in err
 
 
 _GRAPH_BREAKS = ("fields", "token", "negative", "self-loop", "isolated", "empty", "utf-8")
@@ -733,12 +670,8 @@ def _broken_graph_file(draw):
 def test_build_tree_rejects_malformed_graph_files(tmp_path, capsys, content):
     graph = tmp_path / "graph.txt"
     graph.write_bytes(content)
-    capsys.readouterr()
-    assert main(["build-tree", "--graph", str(graph), "--height", "2"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {graph}: ")
+    err = cli_error(capsys, ["build-tree", "--graph", str(graph), "--height", "2"])
+    assert err.startswith(f"error: {graph}: ")
 
 
 # -- malformed train.jsonl and dev.jsonl through `hill train` ---------------
@@ -801,16 +734,11 @@ def test_train_rejects_malformed_dataset_lines(
     lines = (tiny_data / name).read_bytes().splitlines()
     at = min(at, len(lines) - replace)
     lines[at : at + replace] = [line]
-    data, run = tmp_path / "data", tmp_path / "run"
+    data = tmp_path / "data"
     shutil.copytree(tiny_data, data, dirs_exist_ok=True)
     (data / name).write_bytes(b"\n".join(lines) + b"\n")
-    capsys.readouterr()
-    assert main(["train", "--data", str(data), "--out", str(run)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {data / name}: line {at + 1}: ")
-    assert not run.exists()
+    err = cli_error(capsys, ["train", "--data", str(data), "--out", str(tmp_path / "run")])
+    assert err.startswith(f"error: {data / name}: line {at + 1}: ")
 
 
 # -- malformed taxonomy.txt, config files and meta.json through `hill train` --
@@ -912,15 +840,10 @@ def _broken_meta(draw):
 @example(broken=("config.json", b'{"a\\nb": 1}'))  # a line break in a key
 def test_train_rejects_malformed_taxonomy_config_and_meta(tmp_path, capsys, tiny_data, broken):
     name, content = broken
-    data, run = tmp_path / "data", tmp_path / "run"
+    data = tmp_path / "data"
     shutil.copytree(tiny_data, data, dirs_exist_ok=True)
     bad = (tmp_path if name == "config.json" else data) / name
     bad.write_bytes(content)
-    args = ["train", "--data", str(data), "--out", str(run)]
-    capsys.readouterr()
-    assert main(args + (["--config", str(bad)] if name == "config.json" else [])) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
-    assert not run.exists()
+    args = ["train", "--data", str(data), "--out", str(tmp_path / "run")]
+    err = cli_error(capsys, args + (["--config", str(bad)] if name == "config.json" else []))
+    assert err.startswith(f"error: {bad}: ")

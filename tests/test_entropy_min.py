@@ -370,6 +370,8 @@ def _differential_corpus():
             _disjoint_union(*(random_graph(rng, n_min=3, n_max=6) for _ in range(4))),
         )
     )
+    # eight components leave eight ids to the fallback, so it compresses merged ids too
+    corpus.append(("disconnected-eight", _disjoint_union(*[triangle, path] * 4)))
     params = [pytest.param(g, k, id=f"{name}-k{k}") for name, g in corpus for k in (2, 3)]
     # the shapes perfbench's tree-build workload times, at its heights
     bench = [("sbm8x20", _sbm(rng, 8, 20, 0.5, 0.014), 2)]
