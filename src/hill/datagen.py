@@ -20,7 +20,7 @@ import json
 from array import array
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .graph import Graph, build_graph, prefix_errors, read_lines
 TOKENS_PER_LABEL = 4
 _SIGNAL_PROB = 0.85
 _ID_CONTAINERS = (list, tuple)
+_RAW_BLOCK = 4096  # raw draws _Sampler reads at a time
 
 
 @dataclass
@@ -158,27 +159,85 @@ def label_token(label: int, slot: int, vocab_size: int) -> int:
     return (label * 7919 + slot * 104729 + 13) % vocab_size
 
 
+class _Sampler:
+    """`random()` and `integers(n)` of `np.random.default_rng(seed)`, value
+    for value, from its PCG64 raw 64-bit draws read _RAW_BLOCK at a time:
+    numpy's samplers, which NEP 19 does not keep stable across versions,
+    on the bit generator's stream, which it does.
+
+    - `random()`: the top 53 bits of one draw, times 2**-53;
+    - `integers(n)`, n <= 2**32: Lemire's multiply-shift on a 32-bit half
+      x, giving (x*n) >> 32, redrawn while (x*n) mod 2**32 < (2**32 - n)
+      mod n. A fresh draw gives its low half and keeps its high half for
+      the next 32-bit request, which `random()` leaves alone;
+    - `integers(n)`, larger n: the same on whole draws, mod 2**64;
+    - `integers(1)`: 0, drawing nothing."""
+
+    def __init__(self, seed):
+        bits = np.random.default_rng(seed).bit_generator
+        blocks = (bits.random_raw(_RAW_BLOCK).tolist() for _ in repeat(None))
+        self._draw = chain.from_iterable(blocks).__next__
+        self._half = None
+
+    def random(self):
+        return (self._draw() >> 11) * 2.0**-53
+
+    def integers(self, n):
+        if n > 2**32:
+            while True:
+                m = self._draw() * n
+                if m & 0xFFFFFFFFFFFFFFFF >= n or m & 0xFFFFFFFFFFFFFFFF >= (2**64 - n) % n:
+                    return m >> 64
+        if n == 1:
+            return 0
+        while True:
+            if self._half is None:
+                r = self._draw()
+                m, self._half = (r & 0xFFFFFFFF) * n, r >> 32
+            else:
+                m, self._half = self._half * n, None
+            if m & 0xFFFFFFFF >= n or m & 0xFFFFFFFF >= (2**32 - n) % n:
+                return m >> 32
+
+
 def gen_corpus(h: LabelHierarchy, n_docs: int, vocab_size: int, seed: int):
     """Documents with root-to-leaf label paths and 20 to 40
-    label-indicative tokens each; deterministic under seed."""
+    label-indicative tokens each; deterministic under seed.
+
+    The draws, from one `_Sampler(seed)`, are per document: integers(number
+    of leaves) for its leaf, then 20 + integers(21) tokens, each random()
+    < 0.85 for a label token (integers(path length) for the label, then
+    integers(TOKENS_PER_LABEL) for the slot) or else integers(vocab_size).
+    These are the values the scalar calls of `np.random.default_rng(seed)`
+    give in that order, so the corpus depends only on PCG64's raw stream.
+    A vocab_size above 2**63, which numpy's integers refuses, raises
+    before any draw."""
+    for name, value in (("n_docs", n_docs), ("vocab_size", vocab_size)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+    n_docs, vocab_size = int(n_docs), int(vocab_size)
     if n_docs < 1:
         raise ValueError("need at least one document")
     if vocab_size < 1:
         raise ValueError(f"vocabulary size must be at least 1, got {vocab_size}")
-    leaves = h.leaves()
-    rng = np.random.default_rng(seed)
+    if vocab_size > 2**63:
+        raise ValueError(f"vocab_size must be at most 2**63, got {vocab_size}")
+    if h.num_labels < 2:
+        raise ValueError("a corpus needs a hierarchy with a label besides the root")
+    paths = [sorted(h.path_from_root(leaf)) for leaf in h.leaves()]
+    sampler = _Sampler(seed)
+    random, integers = sampler.random, sampler.integers
     docs = []
     for _ in range(n_docs):
-        leaf = leaves[rng.integers(len(leaves))]
-        labels = sorted(h.path_from_root(leaf))
+        labels = paths[integers(len(paths))]
         tokens = []
-        for _ in range(int(rng.integers(20, 41))):
-            if rng.random() < _SIGNAL_PROB:
-                lab = labels[rng.integers(len(labels))]
-                tokens.append(label_token(lab, int(rng.integers(TOKENS_PER_LABEL)), vocab_size))
+        for _ in range(20 + integers(21)):
+            if random() < _SIGNAL_PROB:
+                lab = labels[integers(len(labels))]
+                tokens.append(label_token(lab, integers(TOKENS_PER_LABEL), vocab_size))
             else:
-                tokens.append(int(rng.integers(vocab_size)))
-        docs.append(Example(tokens=tokens, labels=labels))
+                tokens.append(integers(vocab_size))
+        docs.append(Example(tokens=tokens, labels=list(labels)))
     return docs
 
 

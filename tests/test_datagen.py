@@ -127,6 +127,86 @@ def test_gen_corpus_rejects_no_documents():
         gen_corpus(gen_hierarchy(2, 2), 0, 64, seed=0)
 
 
+@pytest.mark.parametrize(
+    "n_docs,vocab,message",
+    [
+        (3, 64.0, "vocab_size must be an int, got 64.0"),
+        (3, True, "vocab_size must be an int, got True"),
+        (3, np.bool_(True), "vocab_size must be an int"),
+        (3, "64", "vocab_size must be an int, got '64'"),
+        (3.0, 64, "n_docs must be an int, got 3.0"),
+        (True, 64, "n_docs must be an int, got True"),
+        (3, 2**63 + 1, r"vocab_size must be at most 2\*\*63"),
+        (3, 2**64, r"vocab_size must be at most 2\*\*63"),
+    ],
+)
+def test_gen_corpus_refuses_bad_arguments(n_docs, vocab, message):
+    with pytest.raises(ValueError, match=message):
+        gen_corpus(gen_hierarchy(2, 2), n_docs, vocab, seed=0)
+
+
+def test_gen_corpus_refuses_a_root_only_hierarchy():
+    with pytest.raises(ValueError, match="label besides the root"):
+        gen_corpus(LabelHierarchy(names=["root"], parent={}), 3, 64, seed=0)
+
+
+def test_gen_corpus_takes_numpy_integers_as_ints():
+    h = gen_hierarchy(2, 3)
+    docs = gen_corpus(h, np.int64(5), np.int32(64), seed=3)
+    assert docs == gen_corpus(h, 5, 64, seed=3)
+    assert {type(t) for ex in docs for t in ex.tokens} == {int}
+
+
+def _reference_gen_corpus(h, n_docs, vocab_size, seed):
+    """gen_corpus as scalar np.random.Generator calls, the form it
+    replaced."""
+    leaves = h.leaves()
+    rng = np.random.default_rng(seed)
+    docs = []
+    for _ in range(n_docs):
+        leaf = leaves[rng.integers(len(leaves))]
+        labels = sorted(h.path_from_root(leaf))
+        tokens = []
+        for _ in range(int(rng.integers(20, 41))):
+            if rng.random() < datagen._SIGNAL_PROB:
+                lab = labels[rng.integers(len(labels))]
+                tokens.append(label_token(lab, int(rng.integers(datagen.TOKENS_PER_LABEL)), vocab_size))
+            else:
+                tokens.append(int(rng.integers(vocab_size)))
+        docs.append(Example(tokens=tokens, labels=labels))
+    return docs
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 4), (4, 3), (2, 7)])
+def test_gen_corpus_equals_the_scalar_generator_form(shape):
+    # 100 documents take about 6000 raw draws, more than one block
+    h = gen_hierarchy(*shape)
+    for n_docs in (1, 100):
+        for vocab in (1, 3, 64, 2048, 2**32 + 1, 2**63):
+            for seed in (0, 1, 42):
+                assert gen_corpus(h, n_docs, vocab, seed) == _reference_gen_corpus(h, n_docs, vocab, seed)
+
+
+# 2**31 + 1 redraws about half its 32-bit halves and 2**62 + 1 a quarter of
+# its 64-bit draws; 2**32 takes a half as it is; from 2**32 + 1 up, the draws
+# are whole; 2**63 is the largest vocab_size
+SAMPLER_BOUNDS = [1, 3, 21, 2048, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32, 2**32 + 1,
+                  2**40 + 3, 2**62 + 1, 2**63 - 1, 2**63]
+
+
+@pytest.mark.parametrize("seeds,calls", [(range(200), 300), (range(200, 203), 12000)])
+def test_sampler_matches_numpy_generator(seeds, calls):
+    for seed in seeds:
+        sampler, gen = datagen._Sampler(seed), np.random.default_rng(seed)
+        picks = np.random.default_rng([seed, 1]).integers(len(SAMPLER_BOUNDS) + 1, size=calls)
+        for k in picks.tolist():
+            if k == len(SAMPLER_BOUNDS):
+                assert sampler.random() == gen.random(), (seed, "random")
+            else:
+                n = SAMPLER_BOUNDS[k]
+                assert sampler.integers(n) == gen.integers(n), (seed, n)
+
+
 def test_dataset_round_trip(tmp_path):
     h = gen_hierarchy(2, 2)
     docs = gen_corpus(h, 10, 64, seed=2)
