@@ -1,13 +1,14 @@
 """Command-line entry point: entropy, build-tree, oracle, gen-data,
 train, eval. Every subcommand is deterministic; gen-data and train take
-their seed from --seed. Each exits nonzero with a one-line diagnostic on
-any module error. HILL_LOG names the logging level (default error)."""
+their seed from --seed. Every failure, from HILL_LOG, the command line or
+a module, exits 1 with one `error:` line. HILL_LOG names the logging level."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -50,15 +51,7 @@ def _cmd_oracle(args):
     print(f"gap {greedy - optimal:.4f}")
 
 
-def _at_least(flag, value, low):
-    if value < low:
-        raise ValueError(f"{flag} must be at least {low}, got {value}")
-
-
 def _cmd_gen_data(args):
-    _at_least("--n-train", args.n_train, 1)
-    _at_least("--n-dev", args.n_dev, 1)
-    _at_least("--seed", args.seed, 0)
     # generate first, so a bad argument leaves nothing behind in --out
     h, train_docs, dev_docs = experiments.default_dataset(
         args.depth, args.branching, args.n_train, args.n_dev, args.vocab, args.seed
@@ -94,8 +87,7 @@ def _cmd_train(args):
     data = Path(args.data)
     vocab = _vocab_size(data / "meta.json")
     config = HillConfig.from_json_file(args.config) if args.config else HillConfig()
-    if args.seed is not None:  # after the file's checks, so a bad flag is not blamed on it
-        _at_least("--seed", args.seed, 0)
+    if args.seed is not None:
         config = replace(config, seed=args.seed)
     h = datagen.load_taxonomy(data / "taxonomy.txt")
     # before --out exists, so a K too high or a model too big leaves nothing
@@ -118,10 +110,8 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
-    if args.labels is not None:
-        _at_least("--labels", args.labels, 1)
-    preds = [set(ex.labels) for ex in datagen.load_dataset(args.pred)]
-    golds = [set(ex.labels) for ex in datagen.load_dataset(args.gold)]
+    preds = [set(ex.labels) for ex in datagen.load_dataset(args.pred, num_labels=args.labels)]
+    golds = [set(ex.labels) for ex in datagen.load_dataset(args.gold, num_labels=args.labels)]
     label_count = args.labels
     if label_count is None:
         label_count = max((max(s) for s in preds + golds if s), default=0) + 1
@@ -131,8 +121,21 @@ def _cmd_eval(args):
     print(f"macro_f1 {macro:.4f}")
 
 
+# each integer flag's lowest and highest value, checked before any command runs
+FLAG_BOUNDS = {
+    "--height": (2, math.inf), "--depth": (2, math.inf), "--branching": (2, math.inf),
+    "--n-train": (1, math.inf), "--n-dev": (1, math.inf), "--labels": (1, math.inf),
+    "--seed": (0, math.inf), "--vocab": (1, 2**63),  # gen_corpus's largest vocabulary
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one `error:` line and exit 1, not usage and exit 2
+        raise ValueError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="hill")
+    parser = _Parser(prog="hill")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("entropy", help="print H(T) for a graph and tree file")
@@ -178,15 +181,19 @@ def build_parser():
 
 
 def main(argv=None):
-    name = os.environ.get("HILL_LOG") or "error"
-    level = getattr(logging, name.upper(), None)
-    if not isinstance(level, int):
-        hint = "HILL_LOG must name a logging level such as error, info or debug"
-        print(f"error: {hint}, got {name!r}", file=sys.stderr)
-        return 1
-    logging.basicConfig(level=level, format="%(message)s")
-    args = build_parser().parse_args(argv)
     try:
+        name = os.environ.get("HILL_LOG") or "error"
+        level = getattr(logging, name.upper(), None)
+        if not isinstance(level, int):
+            hint = "HILL_LOG must name a logging level such as error, info or debug"
+            raise ValueError(f"{hint}, got {name!r}")
+        logging.basicConfig(level=level, format="%(message)s")
+        args = build_parser().parse_args(argv)
+        for flag, (low, high) in FLAG_BOUNDS.items():
+            value = getattr(args, flag[2:].replace("-", "_"), None)  # None: unset or not ours
+            if value is not None and not low <= value <= high:
+                bound = f"at least {low}" if value < low else f"at most {high}"
+                raise ValueError(f"{flag} must be {bound}, got {value}")
         args.func(args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -298,6 +298,8 @@ def nt_xent(h, h_hat, tau, form="simclr"):
         raise ValueError("nt_xent needs batch size >= 2 (no negatives otherwise)")
     if form not in NTXENT_FORMS:
         raise ValueError(f"unknown nt_xent form {form!r}")
+    if not 0 < tau <= sys.float_info.max:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     u, nu = _normalize_rows(h, "view-1")
     v, nv = _normalize_rows(h_hat, "view-2")
     if form == "simclr":

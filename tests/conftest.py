@@ -52,11 +52,6 @@ def cycle4():
 
 
 @pytest.fixture
-def single_edge():
-    return build_graph(2, [(0, 1)])
-
-
-@pytest.fixture
 def bridge_triangles():
     # two triangles {0,1,2} and {3,4,5} joined by the edge (2,3)
     return build_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])

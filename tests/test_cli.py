@@ -418,7 +418,58 @@ def test_train_accepts_integers_for_float_fields(tmp_path, capsys, tiny_data):
 
 def test_gen_data_rejects_empty_vocabulary(tmp_path, capsys):
     args = ["gen-data", "--out", str(tmp_path / "data"), "--depth", "2", "--branching", "2"]
-    assert "vocabulary size must be at least 1" in cli_error(capsys, args + ["--vocab", "0"])
+    assert cli_error(capsys, args + ["--vocab", "0"]) == "error: --vocab must be at least 1, got 0"
+
+
+@pytest.mark.parametrize(
+    "argv,why",
+    [
+        (["gen-data", "--depth", "1"], "--depth must be at least 2, got 1"),
+        (["gen-data", "--branching", "1"], "--branching must be at least 2, got 1"),
+        (["gen-data", "--vocab", str(2**63 + 1)],
+         f"--vocab must be at most {2**63}, got {2**63 + 1}"),
+        (["build-tree", "--height", "1"], "--height must be at least 2, got 1"),
+        (["oracle", "--height", "1"], "--height must be at least 2, got 1"),
+    ],
+    ids=["depth", "branching", "vocab-above-2**63", "build-tree-height", "oracle-height"],
+)
+def test_every_integer_flag_is_bounded_before_the_command_runs(
+    tmp_path, capsys, bridge_file, argv, why
+):
+    files = {
+        "gen-data": ["--out", str(tmp_path / "data")],
+        "build-tree": ["--graph", str(bridge_file), "--out", str(tmp_path / "tree.json")],
+        "oracle": ["--graph", str(bridge_file)],
+    }
+    assert cli_error(capsys, argv[:1] + files[argv[0]] + argv[1:]) == f"error: {why}"
+
+
+def test_gen_data_takes_the_largest_vocabulary(tmp_path, capsys):
+    args = ["gen-data", "--out", str(tmp_path / "data"), "--n-train", "1", "--n-dev", "1"]
+    assert main(args + ["--vocab", str(2**63)]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv,why",
+    [
+        (["gen-data", "--out", "data", "--seed", "abc"],
+         "argument --seed: invalid int value: 'abc'"),
+        (["train", "--data", "data"], "the following arguments are required: --out"),
+        (["fly"], "argument command: invalid choice: 'fly' (choose from "),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["non-integer", "missing-flag", "unknown-command", "no-command"],
+)
+def test_malformed_command_line_is_one_error_line(tmp_path, capsys, monkeypatch, argv, why):
+    monkeypatch.chdir(tmp_path)
+    assert cli_error(capsys, argv).startswith(f"error: {why}")
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hill ")
 
 
 @pytest.mark.parametrize(
@@ -462,6 +513,14 @@ def test_eval_rejects_bad_label_count(tmp_path, capsys, labels):
     preds = tmp_path / "p.jsonl"
     save_dataset([Example(tokens=[], labels=[1, 3])], preds)
     cli_error(capsys, ["eval", "--pred", str(preds), "--gold", str(preds), "--labels", labels])
+
+
+def test_eval_names_the_file_and_line_of_a_label_outside_labels(tmp_path, capsys):
+    preds, golds = tmp_path / "p.jsonl", tmp_path / "g.jsonl"
+    save_dataset([Example(tokens=[], labels=[5])], preds)
+    save_dataset([Example(tokens=[], labels=[1])], golds)
+    argv = ["eval", "--pred", str(preds), "--gold", str(golds), "--labels", "3"]
+    assert cli_error(capsys, argv) == f"error: {preds}: line 1: label id 5 outside [0, 3)"
 
 
 # -- malformed tree JSON through `hill entropy` -------------------------

@@ -26,11 +26,6 @@ def test_initial_tree_shape(cycle4):
     assert len(tree.nodes[tree.root_id].children) == 4
 
 
-def test_flat_entropy_is_degree_entropy(cycle4, single_edge):
-    assert initial_tree(cycle4).structural_entropy() == pytest.approx(2.0, abs=1e-12)
-    assert initial_tree(single_edge).structural_entropy() == pytest.approx(1.0, abs=1e-12)
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_flat_entropy_matches_shannon(seed):

@@ -170,12 +170,6 @@ def test_oracle_cycle4(cycle4):
     assert tree.structural_entropy() == pytest.approx(h, abs=1e-12)
 
 
-def test_oracle_bridge_triangles(bridge_triangles):
-    tree, h = oracle_min_entropy(bridge_triangles, 2)
-    greedy = build_coding_tree(bridge_triangles, 2)
-    assert greedy.structural_entropy() == pytest.approx(h, abs=1e-12)
-
-
 def test_oracle_height3_on_path():
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     tree, h = oracle_min_entropy(g, 3)

@@ -17,6 +17,7 @@ from hill.hill_model import (
     HillConfig,
     HillModel,
     LabelProjector,
+    NTXENT_FORMS,
     StructureEncoder,
     _mlp_backward,
     _mlp_forward,
@@ -132,15 +133,6 @@ def test_bce_backward_matches_two_sided_clamp_test():
         assert got[0, [0, 1, 3, 4]].all()  # on or inside the bounds: gradient
 
 
-def test_bce_gradient_matches_fd():
-    rng = np.random.default_rng(0)
-    p = rng.uniform(0.05, 0.95, size=(4, 5))
-    y = (rng.random((4, 5)) < 0.4).astype(float)
-    _, ctx = bce_loss(p, y)
-    numeric = tn.central_difference(lambda v: bce_loss(v, y)[0], p.copy())
-    assert tn.max_rel_error(bce_backward(ctx), numeric) < 1e-6
-
-
 def test_bce_shape_mismatch():
     with pytest.raises(ValueError, match="shape mismatch"):
         bce_loss(np.zeros((1, 2)), np.zeros((1, 3)))
@@ -193,6 +185,11 @@ def test_nt_xent_input_checks():
         nt_xent(np.vstack([np.zeros(4), np.ones(4)]), np.ones((2, 4)), tau=1.0)
     with pytest.raises(ValueError, match="unknown nt_xent form 'cosine'"):
         nt_xent(np.ones((2, 4)), np.ones((2, 4)), tau=1.0, form="cosine")
+    x, y = np.random.default_rng(0).normal(size=(2, 4, 3))
+    for tau in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        for form in NTXENT_FORMS:
+            with pytest.raises(ValueError, match="tau must be positive and finite"):
+                nt_xent(x, y, tau=tau, form=form)
 
 
 def test_one_doc_contrastive_batch_is_refused_by_nt_xent():
