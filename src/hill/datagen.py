@@ -122,11 +122,13 @@ def load_taxonomy(path) -> LabelHierarchy:
     token is the root. ValueError names the file, and the line where
     there is one."""
     ids = {}
+    first_line = []  # label id -> the line where the label first appears
     parent = {}
 
-    def intern(name):
+    def intern(name, lineno):
         if name not in ids:
             ids[name] = len(ids)
+            first_line.append(lineno)
         return ids[name]
 
     with prefix_errors(path):
@@ -140,17 +142,20 @@ def load_taxonomy(path) -> LabelHierarchy:
                 raise ValueError(f"{where}: expected parent and children")
             if not all(fields):
                 raise ValueError(f"{where}: empty label name")
-            par = intern(fields[0])
+            par = intern(fields[0], lineno)
             for name in fields[1:]:
-                child = intern(name)
+                child = intern(name, lineno)
+                if child == 0:
+                    raise ValueError(f"{where}: label {name!r} is the root and cannot have a parent")
                 if child in parent:
                     raise ValueError(f"{where}: label {name!r} has two parents")
                 parent[child] = par
         if not ids:
             raise ValueError("taxonomy file is empty")
-        names = [None] * len(ids)
-        for name, i in ids.items():
-            names[i] = name
+        names = list(ids)  # in order of first appearance, so names[i] has id i
+        for i in range(1, len(names)):
+            if i not in parent:
+                raise ValueError(f"line {first_line[i]}: label {names[i]!r} has no parent")
         return LabelHierarchy(names=names, parent=parent)
 
 

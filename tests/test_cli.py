@@ -333,10 +333,11 @@ def test_train_refuses_a_model_too_big_for_memory_before_writing(tmp_path, capsy
     "edit,why",
     [
         (lambda rows: rows + ["n0\tn1.0"], "line 4: label 'n1.0' has two parents"),
-        (lambda rows: rows + ["x\ty"], "every non-root label needs exactly one parent"),
+        (lambda rows: rows + ["x\ty"], "line 4: label 'x' has no parent"),
+        (lambda rows: rows + ["n0\troot"], "line 4: label 'root' is the root and cannot have a parent"),
         (lambda rows: ["root\t\tn0\tn1"] + rows[1:], "line 1: empty label name"),
     ],
-    ids=["two-parents", "no-parent", "empty-name"],
+    ids=["two-parents", "no-parent", "root-as-child", "empty-name"],
 )
 def test_train_rejects_bad_taxonomy_naming_the_file(tmp_path, capsys, tiny_data, edit, why):
     data = tmp_path / "data"

@@ -90,6 +90,12 @@ def test_load_taxonomy_errors(tmp_path):
     p.write_text("root\ta\nlonely\n", encoding="utf-8")
     with pytest.raises(ValueError, match="bad.txt: line 2: expected parent and children"):
         load_taxonomy(p)
+    p.write_text("root\ta\tb\nc\td\n", encoding="utf-8")  # a second root
+    with pytest.raises(ValueError, match="bad.txt: line 2: label 'c' has no parent"):
+        load_taxonomy(p)
+    p.write_text("root\ta\na\troot\n", encoding="utf-8")  # a parent over the root
+    with pytest.raises(ValueError, match="bad.txt: line 2: label 'root' is the root and cannot"):
+        load_taxonomy(p)
 
 
 def test_label_token_deterministic_and_in_range():

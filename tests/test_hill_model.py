@@ -80,7 +80,7 @@ def test_config_json_round_trip(tmp_path):
 
 
 def test_default_config_file_holds_the_config_defaults():
-    # perfbench and scripts/diff_training.py read the file; hill train
+    # perfbench and tests/test_training_pin.py read the file; hill train
     # without --config uses HillConfig()
     path = Path(__file__).resolve().parents[1] / "configs" / "default.json"
     assert json.loads(path.read_text(encoding="utf-8")) == asdict(HillConfig())
