@@ -18,9 +18,8 @@ from . import datagen, experiments
 from .coding_tree import CodingTree
 from .entropy_min import build_coding_tree, oracle_min_entropy
 from .graph import load_graph_file, prefix_errors
-from .hill_model import HillConfig, refuse_empty_docs, train
+from .hill_model import HillConfig, refuse_empty_docs
 from .metrics import macro_f1, micro_f1
-from .tensor_nn import save_checkpoint
 
 log = logging.getLogger("hill")
 
@@ -90,17 +89,12 @@ def _cmd_train(args):
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     h = datagen.load_taxonomy(data / "taxonomy.txt")
-    # before --out exists, so a K too high or a model too big leaves nothing
-    model = experiments.build_model(config, h, vocab)
     train_docs = datagen.load_dataset(data / "train.jsonl", vocab, h.num_labels)
     with prefix_errors(data / "train.jsonl"):
         refuse_empty_docs(train_docs, config)
     dev_docs = datagen.load_dataset(data / "dev.jsonl", vocab, h.num_labels)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    config.to_json_file(out / "config.json")
-    report = train(model, train_docs, dev_docs, config, report_path=out / "report.jsonl")
-    save_checkpoint(model.parameters(), out / "checkpoint.json")
+    # builds the model before --out exists, so a K too high or a model too big leaves nothing
+    _, report = experiments.run_training(config, h, train_docs, dev_docs, vocab, out=args.out)
     last = report[-1]
     print(
         f"epoch {last['epoch']} loss {last['train_loss']:.4f} "

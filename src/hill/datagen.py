@@ -32,6 +32,21 @@ _ID_CONTAINERS = (list, tuple)
 _RAW_BLOCK = 4096  # raw draws _Sampler reads at a time
 
 
+def _lowest_on_cycle(parent, n):
+    """The lowest label on the first cycle met walking up from labels 1..n-1
+    in id order, else None. Walks stop at labels known to reach the root."""
+    reached = {0}
+    for label in range(1, n):
+        walk = {}  # label -> its position on this walk
+        while label not in reached:
+            if label in walk:
+                return min(list(walk)[walk[label]:])
+            walk[label] = len(walk)
+            label = parent[label]
+        reached.update(walk)
+    return None
+
+
 @dataclass
 class LabelHierarchy:
     names: list
@@ -46,14 +61,8 @@ class LabelHierarchy:
         for child, par in self.parent.items():
             if not 0 <= par < n:
                 raise ValueError(f"parent {par} of label {child} out of range")
-        # acyclicity: walking up from any label must reach the root
-        for label in range(1, n):
-            seen = set()
-            while label != 0:
-                if label in seen:
-                    raise ValueError("cycle in label hierarchy")
-                seen.add(label)
-                label = self.parent[label]
+        if _lowest_on_cycle(self.parent, n) is not None:
+            raise ValueError("cycle in label hierarchy")
 
     @property
     def num_labels(self):
@@ -156,6 +165,9 @@ def load_taxonomy(path) -> LabelHierarchy:
         for i in range(1, len(names)):
             if i not in parent:
                 raise ValueError(f"line {first_line[i]}: label {names[i]!r} has no parent")
+        low = _lowest_on_cycle(parent, len(names))
+        if low is not None:
+            raise ValueError(f"line {first_line[low]}: label {names[low]!r} is its own ancestor")
         return LabelHierarchy(names=names, parent=parent)
 
 

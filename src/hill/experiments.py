@@ -1,16 +1,18 @@
-"""Reusable experiment recipes on the default synthetic dataset: single
-training runs, and `compare`, which trains arms of config fields per seed.
-`scripts/compare.py` runs the paper's two ablations with it: the tree
-height (`--ks 2 3 4 5 --epochs 8`) and the contrastive weight (`--lam 0.1
---seeds 42 43 44`)."""
+"""Reusable experiment recipes on the default synthetic dataset:
+`run_training`, the one composer of a training run, and `compare`, which
+trains arms of config fields per seed through it. `scripts/compare.py`
+runs the paper's two ablations with it: the tree height (`--ks 2 3 4 5
+--epochs 8`) and the contrastive weight (`--lam 0.1 --seeds 42 43 44`)."""
 
 from __future__ import annotations
 
 from dataclasses import replace
+from pathlib import Path
 
 from .datagen import gen_corpus, gen_hierarchy, hierarchy_to_graph
 from .entropy_min import build_coding_tree
 from .hill_model import HillConfig, HillModel, train
+from .tensor_nn import save_checkpoint
 
 DEFAULT_DEPTH = 3
 DEFAULT_BRANCHING = 4
@@ -34,15 +36,19 @@ def default_dataset(
     return hierarchy, train_docs, dev_docs
 
 
-def build_model(config: HillConfig, hierarchy, vocab=DEFAULT_VOCAB):
-    """The untrained model: graph, then coding tree of height config.K."""
-    tree = build_coding_tree(hierarchy_to_graph(hierarchy), config.K)
-    return HillModel(config, vocab, hierarchy.num_labels, tree)
-
-
-def run_training(config: HillConfig, hierarchy, train_docs, dev_docs, vocab=DEFAULT_VOCAB):
-    model = build_model(config, hierarchy, vocab)
-    report = train(model, train_docs, dev_docs, config)
+def run_training(config: HillConfig, hierarchy, train_docs, dev_docs, vocab=DEFAULT_VOCAB, *,
+                 tree=None, out=None):
+    """(model, report) of one run on `tree`, else on the greedy tree of height config.K.
+    `out`, made after the model, receives config.json, report.jsonl and checkpoint.json."""
+    if tree is None:
+        tree = build_coding_tree(hierarchy_to_graph(hierarchy), config.K)
+    model = HillModel(config, vocab, hierarchy.num_labels, tree)
+    if out is None:
+        return model, train(model, train_docs, dev_docs, config)
+    Path(out).mkdir(parents=True, exist_ok=True)
+    config.to_json_file(Path(out, "config.json"))
+    report = train(model, train_docs, dev_docs, config, Path(out, "report.jsonl"))
+    save_checkpoint(model.parameters(), Path(out, "checkpoint.json"))
     return model, report
 
 
@@ -61,8 +67,9 @@ def compare(base_config: HillConfig, arms, seeds, hierarchy, train_docs, dev_doc
     for seed, seed_configs in zip(seeds, configs):
         row = {"seed": seed, "arms": []}
         for arm, config in zip(arms, seed_configs):
-            model = HillModel(config, vocab, hierarchy.num_labels, trees[config.K])
-            last = train(model, train_docs, dev_docs, config)[-1]
+            _, report = run_training(config, hierarchy, train_docs, dev_docs, vocab,
+                                     tree=trees[config.K])
+            last = report[-1]
             row["arms"].append({**arm, **{f: last[f] for f in ("dev_micro_f1", "dev_macro_f1")}})
         rows.append(row)
     return rows

@@ -336,8 +336,9 @@ def test_train_refuses_a_model_too_big_for_memory_before_writing(tmp_path, capsy
         (lambda rows: rows + ["x\ty"], "line 4: label 'x' has no parent"),
         (lambda rows: rows + ["n0\troot"], "line 4: label 'root' is the root and cannot have a parent"),
         (lambda rows: ["root\t\tn0\tn1"] + rows[1:], "line 1: empty label name"),
+        (lambda rows: rows + ["x\ty", "y\tx"], "line 4: label 'x' is its own ancestor"),
     ],
-    ids=["two-parents", "no-parent", "root-as-child", "empty-name"],
+    ids=["two-parents", "no-parent", "root-as-child", "empty-name", "cycle"],
 )
 def test_train_rejects_bad_taxonomy_naming_the_file(tmp_path, capsys, tiny_data, edit, why):
     data = tmp_path / "data"

@@ -96,6 +96,9 @@ def test_load_taxonomy_errors(tmp_path):
     p.write_text("root\ta\na\troot\n", encoding="utf-8")  # a parent over the root
     with pytest.raises(ValueError, match="bad.txt: line 2: label 'root' is the root and cannot"):
         load_taxonomy(p)
+    p.write_text("root\ta\nb\tc\nc\tb\n", encoding="utf-8")  # a cycle that avoids the root
+    with pytest.raises(ValueError, match="bad.txt: line 2: label 'b' is its own ancestor"):
+        load_taxonomy(p)
 
 
 def test_label_token_deterministic_and_in_range():

@@ -5,11 +5,14 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hill import experiments
-from hill.datagen import Example
-from hill.hill_model import HillConfig
+from hill import tensor_nn as tn
+from hill.datagen import Example, hierarchy_to_graph
+from hill.entropy_min import build_coding_tree
+from hill.hill_model import HillConfig, HillModel
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,6 +30,47 @@ def test_compare_arms_are_the_runs_final_f1():
             _, report = experiments.run_training(run, hierarchy, train_docs, dev_docs, 64)
             assert arm == {**fields, "dev_micro_f1": report[-1]["dev_micro_f1"],
                            "dev_macro_f1": report[-1]["dev_macro_f1"]}
+
+
+def test_run_training_writes_the_run_directory(tmp_path):
+    hierarchy, train_docs, dev_docs = experiments.default_dataset(2, 2, 16, 8, 64, 0)
+    config = HillConfig(d_B=8, d_V=4, epochs=2, batch_size=4)
+    out = tmp_path / "run"
+    model, report = experiments.run_training(config, hierarchy, train_docs, dev_docs, 64, out=out)
+    assert sorted(p.name for p in out.iterdir()) == ["checkpoint.json", "config.json", "report.jsonl"]
+    lines = (out / "report.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line) for line in lines] == report and len(report) == 2
+    assert HillConfig.from_json_file(out / "config.json") == config
+    # a model from another seed, so every parameter must come from the file
+    tree = build_coding_tree(hierarchy_to_graph(hierarchy), config.K)
+    fresh = HillModel(replace(config, seed=1), 64, hierarchy.num_labels, tree)
+    tn.load_checkpoint(fresh.parameters(), out / "checkpoint.json")
+    pairs = list(zip(fresh.parameters(), model.parameters(), strict=True))
+    assert all(a.name == b.name and np.array_equal(a.value, b.value) for a, b in pairs)
+
+
+def test_run_training_refuses_a_tree_of_another_height_before_making_out(tmp_path):
+    hierarchy, train_docs, dev_docs = experiments.default_dataset(2, 2, 16, 8, 64, 0)
+    tree = build_coding_tree(hierarchy_to_graph(hierarchy), 3)
+    config = HillConfig(d_B=8, d_V=4, K=2, epochs=1, batch_size=4)
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match="^tree height 3 != configured K 2$"):
+        experiments.run_training(config, hierarchy, train_docs, dev_docs, 64, tree=tree, out=out)
+    assert not out.exists()
+
+
+def test_compare_builds_one_tree_per_distinct_k(monkeypatch):
+    built = []
+    monkeypatch.setattr(experiments, "build_coding_tree",
+                        lambda graph, k: built.append(k) or build_coding_tree(graph, k))
+    report = [{"dev_micro_f1": 0.0, "dev_macro_f1": 0.0}]
+    monkeypatch.setattr(experiments, "train", lambda *args: report)
+    hierarchy, train_docs, dev_docs = experiments.default_dataset(2, 2, 16, 8, 64, 0)
+    config = HillConfig(d_B=8, d_V=4, epochs=1, batch_size=4)
+    arms = [{"K": 2}, {"K": 3}, {"K": 2, "lambda_clr": 0.0}]
+    rows = experiments.compare(config, arms, [1, 2], hierarchy, train_docs, dev_docs, vocab=64)
+    assert [len(row["arms"]) for row in rows] == [3, 3]
+    assert built == [2, 3]
 
 
 @pytest.mark.parametrize("lambda_clr", [0.1, 0.0])

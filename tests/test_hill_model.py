@@ -10,7 +10,7 @@ import pytest
 from hill import tensor_nn as tn
 from hill.datagen import Example, count_matrix, gen_corpus, gen_hierarchy, hierarchy_to_graph, label_matrix
 from hill.entropy_min import build_coding_tree
-from hill.experiments import DEFAULT_VOCAB, build_model, default_dataset
+from hill.experiments import DEFAULT_VOCAB, default_dataset
 from hill.hill_model import (
     BCE_CLAMP,
     BagOfWordsEncoder,
@@ -639,6 +639,12 @@ def dense_encoder_backward(encoder, grad_h, ctx):
     encoder.embedding.grad += counts.T @ gsum
 
 
+def fresh_model(config, hierarchy):
+    """An untrained model on the greedy coding tree of height config.K."""
+    tree = build_coding_tree(hierarchy_to_graph(hierarchy), config.K)
+    return HillModel(config, DEFAULT_VOCAB, hierarchy.num_labels, tree)
+
+
 def embedding_grads(model, counts, y, monkeypatch):
     """The embedding gradient of one forward/backward, by the encoder's
     backward and by the dense reference, each from zeroed gradients."""
@@ -657,7 +663,7 @@ def embedding_grads(model, counts, y, monkeypatch):
 def test_embedding_gradient_equals_the_dense_product_bit_for_bit(monkeypatch):
     hierarchy, train_docs, _ = default_dataset()
     config = HillConfig()
-    model = build_model(config, hierarchy)
+    model = fresh_model(config, hierarchy)
     perm = np.random.default_rng(0).permutation(len(train_docs))
     for start in range(0, 50 * config.batch_size, config.batch_size):
         batch = [train_docs[i] for i in perm[start : start + config.batch_size]]
@@ -673,7 +679,7 @@ def test_embedding_gradient_bit_for_bit_on_edge_documents(monkeypatch):
     # a repeated token, the last token id and a document with no tokens,
     # which only lambda_clr = 0 accepts
     hierarchy = gen_hierarchy(3, 4)
-    model = build_model(HillConfig(lambda_clr=0.0), hierarchy)
+    model = fresh_model(HillConfig(lambda_clr=0.0), hierarchy)
     v = DEFAULT_VOCAB
     docs = [Example([7, 7, 7, v - 1], [1, 5]), Example([], [2]), Example([v - 1, 0, 7], [3])]
     got, want = embedding_grads(
@@ -687,7 +693,7 @@ def test_default_step_kernel_call_counts(monkeypatch):
     # one default forward_batch and backward on 32 documents calls
     # check_finite 34 times and matmul 12 times; neither may grow
     hierarchy, train_docs, _ = default_dataset(n_train=32, n_dev=1)
-    model = build_model(HillConfig(), hierarchy)
+    model = fresh_model(HillConfig(), hierarchy)
     counts = count_matrix(train_docs, DEFAULT_VOCAB)
     y = label_matrix(train_docs, hierarchy.num_labels)
     calls = {"check_finite": 0, "matmul": 0}
