@@ -47,7 +47,7 @@ def _cmd_oracle(args):
     greedy = build_coding_tree(g, args.height).structural_entropy()
     print(f"oracle_entropy {optimal:.4f}")
     print(f"greedy_entropy {greedy:.4f}")
-    print(f"gap {greedy - optimal:.4f}")
+    print(f"gap {round(greedy - optimal, 4) + 0.0:.4f}")  # + 0.0 prints -0.0 as 0.0
 
 
 def _cmd_gen_data(args):

@@ -31,6 +31,10 @@ keep the leaves' left-to-right order, from which the groups are read.
 Every argmin breaks ties on the smallest (delta, node-id pair) or
 (delta, node id), so construction is deterministic and picks exactly what
 an exhaustive argmin over the same deltas would.
+
+The oracle builds every candidate tree with `merge` from `initial_tree`
+and scores it with `structural_entropy`, so the entropy it returns is
+exactly its tree's `structural_entropy()`.
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ import time
 from collections import deque
 from itertools import groupby
 
-from .coding_tree import CodingTree, entropy_term, initial_tree
-from .graph import Graph, cross_edges, cut_size, subset_volume
+from .coding_tree import CodingTree, initial_tree
+from .graph import Graph, cross_edges
 
 ORACLE_MAX_VERTICES = {2: 8, 3: 5}
 
@@ -269,51 +273,12 @@ def set_partitions(items):
         yield [[first]] + partition
 
 
-def _layered_entropy(g: Graph, layers) -> float:
-    """Entropy of the tree described by nested vertex-subset layers,
-    computed directly from the graph (no tree caches).
-
-    `layers` runs bottom-up, excluding the leaf layer and the root; each
-    entry is a list of vertex sets, each nested in some set one level up.
-    """
-    vol_g = g.volume
-    total = 0.0
-    # leaf terms against their immediate enclosing block
-    for block in layers[0]:
-        bvol = subset_volume(g, block)
-        for v in block:
-            total += entropy_term(g.degree[v], g.degree[v], bvol, vol_g)
-    for i, layer in enumerate(layers):
-        upper = layers[i + 1] if i + 1 < len(layers) else [set(range(g.node_count))]
-        for block in layer:
-            parent = next(u for u in upper if set(block) <= set(u))
-            total += entropy_term(
-                cut_size(g, block), subset_volume(g, block), subset_volume(g, parent), vol_g
-            )
-    return total
-
-
-def _tree_from_layers(g: Graph, layers) -> CodingTree:
-    """Build an explicit coding tree from bottom-up nested layers. Each layer
-    partitions all the vertices or blocks, so every leaf is at depth len(layers) + 1."""
-    tree = initial_tree(g)
-    below = {frozenset({v}): v for v in range(g.node_count)}
-    for layer in layers:
-        current = {}
-        for block in layer:
-            s = frozenset(block)
-            kids = sorted(c for sub, c in below.items() if sub <= s)
-            current[s] = tree._insert_above(kids, s, subset_volume(g, s), cut_size(g, s)).id
-        below = current
-    # set_partitions does not order blocks by their smallest element
-    tree.nodes[tree.root_id].children.sort()
-    return tree
-
-
 def oracle_min_entropy(g: Graph, k: int):
     """Exact minimum entropy over all coding trees of height <= k, by
-    exhaustive enumeration of (nested) set partitions. Returns
-    (optimal tree, entropy)."""
+    exhaustive enumeration of (nested) set partitions, each merged under
+    the root of `initial_tree(g)`. Returns (optimal tree, entropy), the
+    entropy being exactly that tree's `structural_entropy()`; ties keep
+    the first candidate in enumeration order."""
     if k not in ORACLE_MAX_VERTICES:
         raise ValueError(f"oracle supports heights 2 and 3, got {k}")
     if g.node_count > ORACLE_MAX_VERTICES[k]:
@@ -321,21 +286,16 @@ def oracle_min_entropy(g: Graph, k: int):
             f"oracle limited to {ORACLE_MAX_VERTICES[k]} vertices for height {k}, "
             f"graph has {g.node_count}"
         )
-    best_entropy = None
-    best_layers = None
+    best, best_entropy = None, math.inf
     for partition in set_partitions(range(g.node_count)):
-        blocks = [set(b) for b in partition]
-        if k == 2:
-            candidates = [[blocks]]
-        else:
-            candidates = []
-            for grouping in set_partitions(range(len(blocks))):
-                groups = [set().union(*(blocks[i] for i in grp)) for grp in grouping]
-                candidates.append([blocks, groups])
-        for layers in candidates:
-            h = _layered_entropy(g, layers)
-            if best_entropy is None or h < best_entropy:
-                best_entropy = h
-                best_layers = [[sorted(b) for b in layer] for layer in layers]
-    tree = _tree_from_layers(g, best_layers)
-    return tree, best_entropy
+        groupings = [None] if k == 2 else set_partitions(range(len(partition)))
+        for grouping in groupings:
+            tree = initial_tree(g)
+            tree.merge(tree.root_id, partition)
+            if grouping is not None:
+                blocks = tree.nodes[tree.root_id].children
+                tree.merge(tree.root_id, [[blocks[i] for i in grp] for grp in grouping])
+            h = tree.structural_entropy()
+            if h < best_entropy:
+                best, best_entropy = tree, h
+    return best, best_entropy

@@ -7,12 +7,10 @@ runs the paper's two ablations with it: the tree height (`--ks 2 3 4 5
 from __future__ import annotations
 
 from dataclasses import replace
-from pathlib import Path
 
 from .datagen import gen_corpus, gen_hierarchy, hierarchy_to_graph
 from .entropy_min import build_coding_tree
 from .hill_model import HillConfig, HillModel, train
-from .tensor_nn import save_checkpoint
 
 DEFAULT_DEPTH = 3
 DEFAULT_BRANCHING = 4
@@ -39,17 +37,11 @@ def default_dataset(
 def run_training(config: HillConfig, hierarchy, train_docs, dev_docs, vocab=DEFAULT_VOCAB, *,
                  tree=None, out=None):
     """(model, report) of one run on `tree`, else on the greedy tree of height config.K.
-    `out`, made after the model, receives config.json, report.jsonl and checkpoint.json."""
+    Given `out`, `train` writes the run directory there once its input checks pass."""
     if tree is None:
         tree = build_coding_tree(hierarchy_to_graph(hierarchy), config.K)
     model = HillModel(config, vocab, hierarchy.num_labels, tree)
-    if out is None:
-        return model, train(model, train_docs, dev_docs, config)
-    Path(out).mkdir(parents=True, exist_ok=True)
-    config.to_json_file(Path(out, "config.json"))
-    report = train(model, train_docs, dev_docs, config, Path(out, "report.jsonl"))
-    save_checkpoint(model.parameters(), Path(out, "checkpoint.json"))
-    return model, report
+    return model, train(model, train_docs, dev_docs, config, out)
 
 
 def compare(base_config: HillConfig, arms, seeds, hierarchy, train_docs, dev_docs,

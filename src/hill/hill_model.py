@@ -15,6 +15,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 
@@ -376,6 +377,7 @@ def total_loss(l_c, l_clr, lambda_clr):
 
 class HillModel:
     def __init__(self, config: HillConfig, vocab_size, num_labels, tree: CodingTree):
+        tree.validate()  # the structure encoder reads every leaf at depth K
         if tree.height != config.K:
             raise ValueError(f"tree height {tree.height} != configured K {config.K}")
         rng = np.random.default_rng(config.seed)
@@ -480,7 +482,7 @@ def refuse_empty_docs(examples, config: HillConfig):
         raise ValueError(f"example {empty} has no tokens, {why}")
 
 
-def train(model: HillModel, train_examples, dev_examples, config: HillConfig, report_path=None):
+def train(model: HillModel, train_examples, dev_examples, config: HillConfig, out=None):
     """Minibatch training with Adam; per-epoch loss and dev Micro/Macro-F1.
 
     `config` must equal `model.config` in every field but `epochs`, so the
@@ -493,6 +495,9 @@ def train(model: HillModel, train_examples, dev_examples, config: HillConfig, re
     from them; dev predictions run in batch_size slices through
     count_matrix. So the only array that grows with the corpus is the
     flat id array, and the dense arrays grow with the batch.
+
+    With `out`, a run directory made only after every check, it writes
+    config.json, streams report.jsonl and ends with checkpoint.json.
     """
     ours = asdict(model.config)
     differ = [k for k, v in asdict(config).items() if k != "epochs" and v != ours[k]]
@@ -502,13 +507,17 @@ def train(model: HillModel, train_examples, dev_examples, config: HillConfig, re
     train_set = PackedExamples(train_examples, vocab, num_labels)
     check_ids(dev_examples, vocab, num_labels)
     refuse_empty_docs(train_examples, config)
+    if out is not None:
+        out = Path(out)
+        out.mkdir(parents=True, exist_ok=True)
+        config.to_json_file(out / "config.json")
     gold_dev = [set(ex.labels) for ex in dev_examples]
     opt_enc = tn.Adam(model.encoder_params(), config.lr_encoder)
     opt_struct = tn.Adam(model.structure_params(), config.lr_structure)
     rng = np.random.default_rng(config.seed)
     n = len(train_examples)
     report = []
-    with open(report_path, "w", encoding="utf-8") if report_path else nullcontext() as out:
+    with open(out / "report.jsonl", "w", encoding="utf-8") if out else nullcontext() as report_file:
         for epoch in range(1, config.epochs + 1):
             perm = rng.permutation(n)
             batches = [perm[i : i + bs] for i in range(0, n, bs)]
@@ -533,7 +542,9 @@ def train(model: HillModel, train_examples, dev_examples, config: HillConfig, re
                 row["dev_micro_f1"] = micro_f1(preds, gold_dev)
                 row["dev_macro_f1"] = macro_f1(preds, gold_dev, num_labels)
             report.append(row)
-            if out:
-                out.write(json.dumps(row, sort_keys=True) + "\n")
-                out.flush()
+            if report_file:
+                report_file.write(json.dumps(row, sort_keys=True) + "\n")
+                report_file.flush()
+    if out is not None:
+        tn.save_checkpoint(model.parameters(), out / "checkpoint.json")
     return report

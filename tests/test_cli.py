@@ -79,12 +79,17 @@ def test_build_tree_writes_valid_tree(tmp_path, bridge_file, capsys):
     assert printed == f"{tree.structural_entropy():.4f}"
 
 
-def test_oracle_reports_gap(bridge_file, capsys):
-    assert main(["oracle", "--graph", str(bridge_file), "--height", "2"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0].startswith("oracle_entropy ")
-    assert lines[1].startswith("greedy_entropy ")
-    assert lines[2] == "gap 0.0000"  # greedy is optimal on this graph
+def test_oracle_reports_gap(tmp_path, capsys):
+    # greedy is optimal on both graphs; on the second its entropy is one
+    # ulp below the oracle's, which must not print as -0.0000
+    for text in (BRIDGE, "0 4\n1 4\n2 3\n2 4\n3 4\n"):
+        graph = tmp_path / "graph.txt"
+        graph.write_text(text, encoding="utf-8")
+        assert main(["oracle", "--graph", str(graph), "--height", "2"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0].startswith("oracle_entropy ")
+        assert lines[1].startswith("greedy_entropy ")
+        assert lines[2] == "gap 0.0000"
 
 
 def test_gen_data_writes_dataset(tmp_path, capsys):

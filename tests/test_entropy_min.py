@@ -167,14 +167,14 @@ def test_oracle_cycle4(cycle4):
     tree, h = oracle_min_entropy(cycle4, 2)
     tree.validate()
     assert h == pytest.approx(1.5, abs=1e-12)
-    assert tree.structural_entropy() == pytest.approx(h, abs=1e-12)
+    assert tree.structural_entropy() == h
 
 
 def test_oracle_height3_on_path():
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     tree, h = oracle_min_entropy(g, 3)
     tree.validate()
-    assert tree.structural_entropy() == pytest.approx(h, abs=1e-12)
+    assert tree.structural_entropy() == h
     greedy = build_coding_tree(g, 3).structural_entropy()
     assert h <= greedy + 1e-12
 
@@ -204,7 +204,7 @@ def test_oracle_tree_scores_its_optimum(g, k):
     tree, h = oracle_min_entropy(g, k)
     tree.validate()
     assert tree.height == k
-    assert tree.structural_entropy() == pytest.approx(h, abs=1e-12)
+    assert tree.structural_entropy() == h
     assert tree.entropy_from_scratch() == pytest.approx(h, abs=1e-12)
 
 

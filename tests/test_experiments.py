@@ -10,6 +10,7 @@ import pytest
 
 from hill import experiments
 from hill import tensor_nn as tn
+from hill.coding_tree import initial_tree
 from hill.datagen import Example, hierarchy_to_graph
 from hill.entropy_min import build_coding_tree
 from hill.hill_model import HillConfig, HillModel
@@ -59,6 +60,17 @@ def test_run_training_refuses_a_tree_of_another_height_before_making_out(tmp_pat
     assert not out.exists()
 
 
+def test_run_training_refuses_a_tree_with_leaves_at_two_depths_before_making_out(tmp_path):
+    hierarchy, train_docs, dev_docs = experiments.default_dataset(2, 2, 16, 8, 64, 0)
+    tree = initial_tree(hierarchy_to_graph(hierarchy))
+    tree.compress(0, 1)  # height 2, but every other leaf stays at depth 1
+    config = HillConfig(d_B=8, d_V=4, K=2, epochs=1, batch_size=4)
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match=r"^leaf depths not uniform: \[1, 2\]$"):
+        experiments.run_training(config, hierarchy, train_docs, dev_docs, 64, tree=tree, out=out)
+    assert not out.exists()
+
+
 def test_compare_builds_one_tree_per_distinct_k(monkeypatch):
     built = []
     monkeypatch.setattr(experiments, "build_coding_tree",
@@ -74,16 +86,28 @@ def test_compare_builds_one_tree_per_distinct_k(monkeypatch):
 
 
 @pytest.mark.parametrize("lambda_clr", [0.1, 0.0])
-def test_run_training_refuses_empty_doc_only_for_contrastive_training(lambda_clr):
+def test_run_training_refuses_empty_doc_only_for_contrastive_training(tmp_path, lambda_clr):
     hierarchy, train_docs, dev_docs = experiments.default_dataset(2, 2, 16, 8, 64, 0)
     train_docs[5] = Example(tokens=[], labels=train_docs[5].labels)
     config = HillConfig(d_B=8, d_V=4, epochs=1, batch_size=4, lambda_clr=lambda_clr)
+    out = tmp_path / "run"
     if lambda_clr > 0:
         with pytest.raises(ValueError, match=r"^example 6 has no tokens"):
-            experiments.run_training(config, hierarchy, train_docs, dev_docs, 64)
+            experiments.run_training(config, hierarchy, train_docs, dev_docs, 64, out=out)
+        assert not out.exists()
     else:
-        _, report = experiments.run_training(config, hierarchy, train_docs, dev_docs, 64)
-        assert len(report) == 1
+        _, report = experiments.run_training(config, hierarchy, train_docs, dev_docs, 64, out=out)
+        assert len(report) == 1 and (out / "checkpoint.json").exists()
+
+
+def test_run_training_refuses_a_bad_token_id_before_making_out(tmp_path):
+    hierarchy, train_docs, dev_docs = experiments.default_dataset(2, 2, 16, 8, 64, 0)
+    train_docs[3] = Example(tokens=[5000], labels=train_docs[3].labels)
+    config = HillConfig(d_B=8, d_V=4, epochs=1, batch_size=4)
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match=r"^doc 3: token id 5000 outside \[0, 64\)$"):
+        experiments.run_training(config, hierarchy, train_docs, dev_docs, 64, out=out)
+    assert not out.exists()
 
 
 def run_script(name, *args):

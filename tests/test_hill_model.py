@@ -502,8 +502,8 @@ def test_train_writes_report_file(tmp_path):
     import json
 
     h, config, model, docs, _, _ = small_setup(seed=12)
+    report = train(model, docs, docs, config, out=tmp_path)
     path = tmp_path / "report.jsonl"
-    report = train(model, docs, docs, config, report_path=path)
     lines = [json.loads(l) for l in path.read_text(encoding="utf-8").splitlines()]
     assert lines == report
 

@@ -76,7 +76,7 @@ def surgery_states(rng):
 
 FAMILIES = {  # family: (trees, seed, pinned SHA-256)
     "greedy": (greedy_trees, 0, "4296b1db1a01041097c6a3b175cdb8803f0f44b5f4252b2f12b84295f09352b0"),
-    "oracle": (oracle_trees, 1, "37e290c48dd7f9b20fbd1c4cbddc1f235a8e4543b084ed3dd3019afa70aefc85"),
+    "oracle": (oracle_trees, 1, "a5de5ec3a532b613d331557cd2e4329d42502e784a5d62bf64d158706d5565aa"),
     "surgery": (surgery_states, 2, "0cb667b14614f9d8c6b821e4a4b7334d591f12bc92be9326664e328232744dd5"),
 }
 
