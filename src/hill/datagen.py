@@ -30,6 +30,9 @@ TOKENS_PER_LABEL = 4
 _SIGNAL_PROB = 0.85
 _ID_CONTAINERS = (list, tuple)
 _RAW_BLOCK = 4096  # raw draws _Sampler reads at a time
+_CHUNK_DOCS = 256  # documents _walk_corpus computes at a time
+_DOC_DRAWS = 81  # most raw draws a document takes without redraws: 1 + 2 per token
+_COIN = int(_SIGNAL_PROB * 2**53)  # random() < 0.85 is exactly (draw >> 11) < _COIN
 
 
 def _lowest_on_cycle(parent, n):
@@ -217,6 +220,89 @@ class _Sampler:
                 return m >> 32
 
 
+def _walk_corpus(paths, n_docs, vocab_size, seed):
+    """gen_corpus's documents for 1 < vocab_size <= 2**32, at least two
+    leaves and paths of at least two labels, computed from the raw draws
+    _CHUNK_DOCS documents at a time; None when a used 32-bit half meets
+    its redraw bound.
+
+    Without redraws the stream moves by rule. With (p, b) for the next
+    draw and whether a high half is buffered (then it is draw p - 1's):
+    a document's leaf and length take one draw; a label token takes its
+    coin and one fresh draw for its label and slot halves, so it moves
+    by 2 and keeps b; a noise token moves by 2 from b = 0 and by 1 from
+    b = 1, and flips b. So its tokens are the coins at p, p + 2, ... up
+    to the next noise coin of p's parity, which a table gives. A Python
+    loop walks from noise coin to noise coin and records the runs; numpy
+    computes every id. Up to the first redraw the walk reads the same
+    halves as the sampler, so that first redraw is a used half that
+    fails the check: when none fails, the walk was the sampler's."""
+    width = max(map(len, paths))
+    table = np.array([path + [0] * (width - len(path)) for path in paths], dtype=np.int64)
+    # label_token of each leaf's (label index, slot), at label index * TOKENS_PER_LABEL + slot
+    table = label_token(table[:, :, None], np.arange(TOKENS_PER_LABEL), vocab_size).reshape(len(paths), -1)
+    path_len = np.array(list(map(len, paths)), dtype=np.uint64)
+    bits = np.random.default_rng(seed).bit_generator
+    draws, p, b = np.zeros(1, dtype=np.uint64), 1, 0  # draws[0] stands in for draw -1
+    docs = []
+    for first in range(0, n_docs, _CHUNK_DOCS):
+        n = min(_CHUNK_DOCS, n_docs - first)
+        kept = draws[p - 1:]
+        draws = np.concatenate([kept, bits.random_raw(max(0, n * _DOC_DRAWS + 2 - len(kept)))])
+        p = 1
+        noise = (draws >> 11) >= _COIN
+        # nxt[i]: the first noise coin at or after i with i's parity
+        at = np.where(noise, np.arange(len(draws)), len(draws) + 2 * _DOC_DRAWS)
+        nxt = np.empty_like(at)
+        for parity in (0, 1):
+            nxt[parity::2] = np.minimum.accumulate(at[parity::2][::-1])[::-1]
+        halves = np.empty(2 * len(draws), dtype=np.uint64)
+        halves[0::2], halves[1::2] = draws & 0xFFFFFFFF, draws >> 32
+        nxt, raw = memoryview(nxt), memoryview(draws)
+        heads, runs = [], []  # per document its leaf half; per run (first coin, tokens, b)
+        for _ in range(n):
+            heads.append(2 * p - b)
+            left = 20 + ((raw[p] & 0xFFFFFFFF if b else raw[p] >> 32) * 21 >> 32)
+            p += 1
+            while True:
+                q = nxt[p]
+                k = (q - p) >> 1
+                if k >= left:
+                    runs += (p, left, b)
+                    p += 2 * left
+                    break
+                runs += (p, k + 1, b)
+                p, b, left = q + 2 - b, b ^ 1, left - k - 1
+        heads = np.array(heads)
+        starts, lengths, buffered = np.array(runs, dtype=np.int64).reshape(-1, 3).T
+        coin = np.repeat(starts - 2 * (np.cumsum(lengths) - lengths), lengths) + 2 * np.arange(lengths.sum())
+        tb = np.repeat(buffered, lengths)
+        leaf, leaf_fits = _lemire(halves[heads], np.uint64(len(paths)))
+        count, count_fits = _lemire(halves[heads + 1], np.uint64(21))
+        leaf, count = leaf.astype(np.int64), count.astype(np.int64) + 20
+        doc_leaf = np.repeat(leaf, count)
+        is_noise = noise[coin]
+        bound = np.where(is_noise, np.uint64(vocab_size), path_len[doc_leaf])
+        value, value_fits = _lemire(halves[2 * coin + 2 - 3 * tb], bound)
+        slot, slot_fits = _lemire(halves[2 * coin + 3 - tb], np.uint64(TOKENS_PER_LABEL))
+        if not (leaf_fits.all() and count_fits.all() and value_fits.all() and (slot_fits | is_noise).all()):
+            return None  # a noise token reads no slot half
+        value, slot = value.astype(np.int64), slot.astype(np.int64)
+        pick = np.where(is_noise, 0, value) * TOKENS_PER_LABEL + slot
+        tokens = np.where(is_noise, value, table[doc_leaf, pick]).tolist()
+        ends = np.cumsum(count).tolist()
+        docs += (Example(tokens=tokens[e - c:e], labels=list(paths[i]))
+                 for e, c, i in zip(ends, count.tolist(), leaf.tolist()))
+    return docs
+
+
+def _lemire(x, n):
+    """(x * n) >> 32 for 32-bit halves x and bounds n <= 2**32 as uint64,
+    and which halves clear their redraw bound (2**32 - n) % n."""
+    m = x * n
+    return m >> 32, m & 0xFFFFFFFF >= (2**32 - n) % n
+
+
 def gen_corpus(h: LabelHierarchy, n_docs: int, vocab_size: int, seed: int):
     """Documents with root-to-leaf label paths and 20 to 40
     label-indicative tokens each; deterministic under seed.
@@ -228,7 +314,14 @@ def gen_corpus(h: LabelHierarchy, n_docs: int, vocab_size: int, seed: int):
     These are the values the scalar calls of `np.random.default_rng(seed)`
     give in that order, so the corpus depends only on PCG64's raw stream.
     A vocab_size above 2**63, which numpy's integers refuses, raises
-    before any draw."""
+    before any draw.
+
+    The corpus comes from `_walk_corpus`, which walks the raw draws 256
+    documents at a time and computes the ids in numpy, and which checks
+    that no draw it used would have been redrawn. Where that check fails,
+    or for a vocab_size of 1 or above 2**32, a single leaf or a one-label
+    path, the `_Sampler` loop below makes the whole corpus; both give the
+    same documents. A chunk's arrays hold at most 256 * 81 + 2 draws."""
     for name, value in (("n_docs", n_docs), ("vocab_size", vocab_size)):
         if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
             raise ValueError(f"{name} must be an int, got {value!r}")
@@ -242,6 +335,10 @@ def gen_corpus(h: LabelHierarchy, n_docs: int, vocab_size: int, seed: int):
     if h.num_labels < 2:
         raise ValueError("a corpus needs a hierarchy with a label besides the root")
     paths = [sorted(h.path_from_root(leaf)) for leaf in h.leaves()]
+    if 1 < vocab_size <= 2**32 and len(paths) > 1 and min(map(len, paths)) > 1:
+        docs = _walk_corpus(paths, n_docs, vocab_size, seed)
+        if docs is not None:
+            return docs
     sampler = _Sampler(seed)
     random, integers = sampler.random, sampler.integers
     docs = []

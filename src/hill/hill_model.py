@@ -28,6 +28,7 @@ from .metrics import macro_f1, micro_f1
 ETA_MODES = ("sum", "mean")
 NTXENT_FORMS = ("simclr", "paper_literal")
 BCE_CLAMP = 1e-7
+NORM_EPS = 1e-12  # the floor under an NT-Xent view's row norm, as in torch's F.normalize
 # accepted Python types per annotated field type; bool is refused everywhere
 _FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
@@ -264,10 +265,11 @@ class MlpProjector:
 # -- losses ----------------------------------------------------------
 
 
-def _normalize_rows(x, name):
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise ValueError(f"nt_xent: zero-norm {name} embedding")
+def _normalize_rows(x):
+    """(x / max(|x|, NORM_EPS) row by row, the floored norms), as
+    torch's F.normalize: a row above the floor keeps its bits, and a zero
+    row stays zero, so its cosine with every row is 0."""
+    norms = np.maximum(np.linalg.norm(x, axis=1, keepdims=True), NORM_EPS)
     return x / norms, norms
 
 
@@ -301,8 +303,8 @@ def nt_xent(h, h_hat, tau, form="simclr"):
         raise ValueError(f"unknown nt_xent form {form!r}")
     if not 0 < tau <= sys.float_info.max:
         raise ValueError(f"tau must be positive and finite, got {tau}")
-    u, nu = _normalize_rows(h, "view-1")
-    v, nv = _normalize_rows(h_hat, "view-2")
+    u, nu = _normalize_rows(h)
+    v, nv = _normalize_rows(h_hat)
     if form == "simclr":
         z = np.vstack([u, v])
         sims = (z @ z.T) / tau
@@ -319,8 +321,9 @@ def nt_xent(h, h_hat, tau, form="simclr"):
 
 
 def _cosine_rows_backward(g_unit, unit, norms):
-    # gradient through row-wise normalization x -> x/|x|
-    dots = np.sum(g_unit * unit, axis=1, keepdims=True)
+    # gradient through row-wise normalization x -> x/max(|x|, eps); a
+    # floored row is x/eps, whose gradient is g/eps
+    dots = np.where(norms > NORM_EPS, np.sum(g_unit * unit, axis=1, keepdims=True), 0.0)
     return (g_unit - dots * unit) / norms
 
 
@@ -471,7 +474,8 @@ class HillModel:
 def refuse_empty_docs(examples, config: HillConfig):
     """ValueError on an empty training set and, with lambda_clr > 0, on
     one example only or on the first example with no tokens (1-based):
-    NT-Xent needs a negative and cannot normalise an all-zero embedding."""
+    NT-Xent needs a negative, and an example with no tokens has nothing
+    to contrast."""
     if not examples:
         raise ValueError("empty training set")
     why = "which contrastive training (lambda_clr > 0) cannot use"

@@ -186,14 +186,39 @@ def _reference_gen_corpus(h, n_docs, vocab_size, seed):
     return docs
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (3, 4), (4, 3), (2, 7)])
+# paths of two and three labels, then the same with label 2 a one-label path
+UNEVEN = LabelHierarchy(names=list("rabcdefg"), parent={1: 0, 2: 0, 3: 1, 4: 1, 5: 2, 6: 5, 7: 5})
+ONE_LABEL_PATH = LabelHierarchy(names=list("rabcdef"), parent={1: 0, 2: 0, 3: 1, 4: 1, 5: 3, 6: 3})
+SINGLE_LEAF = LabelHierarchy(names=list("rab"), parent={1: 0, 2: 1})
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 4), (4, 3), (2, 7), UNEVEN, ONE_LABEL_PATH, SINGLE_LEAF])
 def test_gen_corpus_equals_the_scalar_generator_form(shape):
-    # 100 documents take about 6000 raw draws, more than one block
-    h = gen_hierarchy(*shape)
+    # 100 documents take about 6000 raw draws, more than one block; the
+    # walk redraws nothing up to 2**32 - 1 here, falls back at 2**31 + 1,
+    # and does not run at 1 or above 2**32, for a one-label path or for
+    # a single leaf
+    h = gen_hierarchy(*shape) if isinstance(shape, tuple) else shape
     for n_docs in (1, 100):
-        for vocab in (1, 3, 64, 2048, 2**32 + 1, 2**63):
+        for vocab in (1, 3, 64, 1000, 2048, 2**31 + 1, 2**32, 2**32 + 1, 2**63):
             for seed in (0, 1, 42):
                 assert gen_corpus(h, n_docs, vocab, seed) == _reference_gen_corpus(h, n_docs, vocab, seed)
+    n_docs = 3 * datagen._CHUNK_DOCS + 1  # across three chunk boundaries
+    for vocab in (3, 2048):
+        assert gen_corpus(h, n_docs, vocab, 7) == _reference_gen_corpus(h, n_docs, vocab, 7)
+
+
+def test_a_redraw_after_the_first_chunk_gives_the_whole_reference_corpus():
+    h = gen_hierarchy(3, 4)
+    paths = [sorted(h.path_from_root(leaf)) for leaf in h.leaves()]
+    n_docs = 3 * datagen._CHUNK_DOCS + 1
+    assert datagen._walk_corpus(paths, n_docs, 2048, 1) is not None  # the walk runs
+    # found by search: this vocabulary redraws about one 32-bit half in
+    # 2000, and under seed 1 the first redraw lies past the first chunk
+    vocab, seed = 1430940765, 1
+    assert datagen._walk_corpus(paths, datagen._CHUNK_DOCS, vocab, seed) is not None
+    assert datagen._walk_corpus(paths, n_docs, vocab, seed) is None
+    assert gen_corpus(h, n_docs, vocab, seed) == _reference_gen_corpus(h, n_docs, vocab, seed)
 
 
 # 2**31 + 1 redraws about half its 32-bit halves and 2**62 + 1 a quarter of

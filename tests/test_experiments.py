@@ -7,13 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hill import experiments
 from hill import tensor_nn as tn
 from hill.coding_tree import initial_tree
-from hill.datagen import Example, hierarchy_to_graph
+from hill.datagen import Example, LabelHierarchy, gen_corpus, hierarchy_to_graph
 from hill.entropy_min import build_coding_tree
-from hill.hill_model import HillConfig, HillModel
+from hill.hill_model import ETA_MODES, HillConfig, HillModel
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -169,3 +171,35 @@ def test_compare_checks_every_arm_before_training_any(monkeypatch, arms, seeds, 
     with pytest.raises(ValueError, match=message):
         experiments.compare(config, arms, seeds, hierarchy, train_docs, dev_docs, vocab=64)
     assert calls == []
+
+
+@st.composite
+def random_taxonomies(draw):
+    """2 to 39 labels; each label hangs under the one before it (a chain),
+    under the root (a star) or under any earlier label."""
+    parent = {}
+    for label in range(1, draw(st.integers(2, 39))):
+        parent[label] = draw(st.one_of(st.just(label - 1), st.just(0), st.integers(0, label - 1)))
+    return LabelHierarchy(names=[f"l{i}" for i in range(len(parent) + 1)], parent=parent)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(hierarchy=random_taxonomies())
+def test_every_realizable_height_of_a_random_taxonomy_trains(hierarchy):
+    # at every K up to |V| - 1 the greedy tree is valid and one narrow
+    # epoch ends with a finite loss under both readouts; K = |V| is the
+    # one refusal
+    g = hierarchy_to_graph(hierarchy)
+    train_docs, dev_docs = gen_corpus(hierarchy, 8, 64, 0), gen_corpus(hierarchy, 4, 64, 1)
+    for k in range(2, hierarchy.num_labels + 1):
+        try:
+            tree = build_coding_tree(g, k)
+        except ValueError as err:
+            assert k == hierarchy.num_labels and str(err) == f"height {k} not realizable on {k} vertices"
+            continue
+        tree.validate()
+        assert tree.height == k
+        for eta in ETA_MODES:
+            config = HillConfig(d_B=8, d_V=4, K=k, eta=eta, epochs=1)
+            _, report = experiments.run_training(config, hierarchy, train_docs, dev_docs, 64, tree=tree)
+            assert np.isfinite(report[-1]["train_loss"])

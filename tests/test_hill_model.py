@@ -167,6 +167,23 @@ def test_nt_xent_gradient_matches_fd(form):
     assert tn.max_rel_error(gh_hat, num_hh, floor=1e-6) < 1e-6
 
 
+@pytest.mark.parametrize("form", NTXENT_FORMS)
+def test_nt_xent_gradient_of_a_floored_row_matches_fd(form):
+    # row 0 of each view lies below the norm floor, where x -> x / NORM_EPS
+    # is linear, and stays below it at every difference point
+    rng = np.random.default_rng(4)
+    h, h_hat = rng.normal(size=(2, 5, 6))
+    h[0] *= 1e-14
+    h_hat[0] *= 1e-14
+    _, ctx = nt_xent(h, h_hat, tau=0.7, form=form)
+    gh, gh_hat = nt_xent_backward(ctx)
+    num_h = five_point_difference(lambda v: nt_xent(v, h_hat, 0.7, form)[0], h.copy(), 1e-14)
+    num_hh = five_point_difference(lambda v: nt_xent(h, v, 0.7, form)[0], h_hat.copy(), 1e-14)
+    assert tn.max_rel_error(gh[0], num_h[0], floor=1e-6) < 1e-6
+    assert tn.max_rel_error(gh_hat[0], num_hh[0], floor=1e-6) < 1e-6
+    assert np.abs(gh[0]).max() > 1e6  # the gradient of x / NORM_EPS is g / NORM_EPS
+
+
 def test_nt_xent_prefers_aligned_pairs():
     rng = np.random.default_rng(2)
     h = rng.normal(size=(6, 8))
@@ -181,8 +198,11 @@ def test_nt_xent_input_checks():
         nt_xent(h, h, tau=1.0)
     with pytest.raises(ValueError, match="shape mismatch"):
         nt_xent(np.ones((2, 4)), np.ones((2, 3)), tau=1.0)
-    with pytest.raises(ValueError, match="zero-norm"):
-        nt_xent(np.vstack([np.zeros(4), np.ones(4)]), np.ones((2, 4)), tau=1.0)
+    # a zero row is floored, not refused: its cosine with every row is 0
+    for form in NTXENT_FORMS:
+        loss, ctx = nt_xent(np.vstack([np.zeros(4), np.ones(4)]), np.ones((2, 4)), tau=1.0, form=form)
+        assert math.isfinite(loss)
+        assert all(np.isfinite(g).all() for g in nt_xent_backward(ctx))
     with pytest.raises(ValueError, match="unknown nt_xent form 'cosine'"):
         nt_xent(np.ones((2, 4)), np.ones((2, 4)), tau=1.0, form="cosine")
     x, y = np.random.default_rng(0).normal(size=(2, 4, 3))
