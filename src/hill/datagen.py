@@ -30,7 +30,7 @@ TOKENS_PER_LABEL = 4
 _SIGNAL_PROB = 0.85
 _ID_CONTAINERS = (list, tuple)
 _RAW_BLOCK = 4096  # raw draws _Sampler reads at a time
-_CHUNK_DOCS = 256  # documents _walk_corpus computes at a time
+_CHUNK_DOCS = 256  # documents of the most draws one _walk_corpus chunk has room for
 _DOC_DRAWS = 81  # most raw draws a document takes without redraws: 1 + 2 per token
 _COIN = int(_SIGNAL_PROB * 2**53)  # random() < 0.85 is exactly (draw >> 11) < _COIN
 
@@ -222,9 +222,10 @@ class _Sampler:
 
 def _walk_corpus(paths, n_docs, vocab_size, seed):
     """gen_corpus's documents for 1 < vocab_size <= 2**32, at least two
-    leaves and paths of at least two labels, computed from the raw draws
-    _CHUNK_DOCS documents at a time; None when a used 32-bit half meets
-    its redraw bound.
+    leaves and paths of at least two labels, computed from chunks of
+    _CHUNK_DOCS * _DOC_DRAWS + 2 raw draws, each walking the documents
+    that surely fit and carrying the rest into the next; None when a used
+    32-bit half meets its redraw bound. Equal token ids are one int object.
 
     Without redraws the stream moves by rule. With (p, b) for the next
     draw and whether a high half is buffered (then it is draw p - 1's):
@@ -244,11 +245,12 @@ def _walk_corpus(paths, n_docs, vocab_size, seed):
     path_len = np.array(list(map(len, paths)), dtype=np.uint64)
     bits = np.random.default_rng(seed).bit_generator
     draws, p, b = np.zeros(1, dtype=np.uint64), 1, 0  # draws[0] stands in for draw -1
-    docs = []
-    for first in range(0, n_docs, _CHUNK_DOCS):
-        n = min(_CHUNK_DOCS, n_docs - first)
-        kept = draws[p - 1:]
-        draws = np.concatenate([kept, bits.random_raw(max(0, n * _DOC_DRAWS + 2 - len(kept)))])
+    docs, ints = [], {}
+    while len(docs) < n_docs:
+        left_docs = n_docs - len(docs)
+        kept = draws[p - 1:]  # draw p - 1, then at most one document's draws
+        size = min(_CHUNK_DOCS, left_docs) * _DOC_DRAWS + 2
+        draws = np.concatenate([kept, bits.random_raw(size - len(kept))])
         p = 1
         noise = (draws >> 11) >= _COIN
         # nxt[i]: the first noise coin at or after i with i's parity
@@ -260,7 +262,8 @@ def _walk_corpus(paths, n_docs, vocab_size, seed):
         halves[0::2], halves[1::2] = draws & 0xFFFFFFFF, draws >> 32
         nxt, raw = memoryview(nxt), memoryview(draws)
         heads, runs = [], []  # per document its leaf half; per run (first coin, tokens, b)
-        for _ in range(n):
+        stop = len(draws) - _DOC_DRAWS  # a document from p < stop fits, however long
+        while p < stop and len(heads) < left_docs:
             heads.append(2 * p - b)
             left = 20 + ((raw[p] & 0xFFFFFFFF if b else raw[p] >> 32) * 21 >> 32)
             p += 1
@@ -289,11 +292,18 @@ def _walk_corpus(paths, n_docs, vocab_size, seed):
             return None  # a noise token reads no slot half
         value, slot = value.astype(np.int64), slot.astype(np.int64)
         pick = np.where(is_noise, 0, value) * TOKENS_PER_LABEL + slot
-        tokens = np.where(is_noise, value, table[doc_leaf, pick]).tolist()
+        tokens = _shared_ints(np.where(is_noise, value, table[doc_leaf, pick]), ints)
         ends = np.cumsum(count).tolist()
         docs += (Example(tokens=tokens[e - c:e], labels=list(paths[i]))
                  for e, c, i in zip(ends, count.tolist(), leaf.tolist()))
     return docs
+
+
+def _shared_ints(ids, ints):
+    """The int64 array ids as a list of ints, each value the one object
+    that the dict ints holds for it, added there if new."""
+    values, inverse = np.unique(ids, return_inverse=True)
+    return np.array([ints.setdefault(v, v) for v in values.tolist()], dtype=object)[inverse].tolist()
 
 
 def _lemire(x, n):
@@ -316,16 +326,22 @@ def gen_corpus(h: LabelHierarchy, n_docs: int, vocab_size: int, seed: int):
     A vocab_size above 2**63, which numpy's integers refuses, raises
     before any draw.
 
-    The corpus comes from `_walk_corpus`, which walks the raw draws 256
-    documents at a time and computes the ids in numpy, and which checks
-    that no draw it used would have been redrawn. Where that check fails,
-    or for a vocab_size of 1 or above 2**32, a single leaf or a one-label
-    path, the `_Sampler` loop below makes the whole corpus; both give the
-    same documents. A chunk's arrays hold at most 256 * 81 + 2 draws."""
-    for name, value in (("n_docs", n_docs), ("vocab_size", vocab_size)):
+    The corpus comes from `_walk_corpus`, which walks chunks of the raw
+    draws and computes the ids in numpy, and which checks that no draw it
+    used would have been redrawn. Where that check fails, or for a
+    vocab_size of 1 or above 2**32, a single leaf or a one-label path,
+    the `_Sampler` loop below makes the whole corpus; both give the same
+    documents. A chunk's arrays hold at most 256 * 81 + 2 draws.
+
+    On either path each distinct token id is one int object for the whole
+    corpus. So a document costs its two lists, one pointer per token or
+    label, and the corpus one int per distinct id."""
+    for name, value in (("n_docs", n_docs), ("vocab_size", vocab_size), ("seed", seed)):
         if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
             raise ValueError(f"{name} must be an int, got {value!r}")
-    n_docs, vocab_size = int(n_docs), int(vocab_size)
+    n_docs, vocab_size, seed = int(n_docs), int(vocab_size), int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     if n_docs < 1:
         raise ValueError("need at least one document")
     if vocab_size < 1:
@@ -341,6 +357,7 @@ def gen_corpus(h: LabelHierarchy, n_docs: int, vocab_size: int, seed: int):
             return docs
     sampler = _Sampler(seed)
     random, integers = sampler.random, sampler.integers
+    shared = {}.setdefault
     docs = []
     for _ in range(n_docs):
         labels = paths[integers(len(paths))]
@@ -348,9 +365,10 @@ def gen_corpus(h: LabelHierarchy, n_docs: int, vocab_size: int, seed: int):
         for _ in range(20 + integers(21)):
             if random() < _SIGNAL_PROB:
                 lab = labels[integers(len(labels))]
-                tokens.append(label_token(lab, integers(TOKENS_PER_LABEL), vocab_size))
+                token = label_token(lab, integers(TOKENS_PER_LABEL), vocab_size)
             else:
-                tokens.append(integers(vocab_size))
+                token = integers(vocab_size)
+            tokens.append(shared(token, token))
         docs.append(Example(tokens=tokens, labels=list(labels)))
     return docs
 

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,22 @@ def test_gen_corpus_refuses_bad_arguments(n_docs, vocab, message):
         gen_corpus(gen_hierarchy(2, 2), n_docs, vocab, seed=0)
 
 
+@pytest.mark.parametrize(
+    "seed,message",
+    [
+        (None, "seed must be an int, got None"),
+        (1.5, "seed must be an int, got 1.5"),
+        (True, "seed must be an int, got True"),
+        (np.bool_(False), "seed must be an int"),
+        (-1, "seed must be at least 0, got -1"),
+        (np.int64(-2), "seed must be at least 0, got -2"),
+    ],
+)
+def test_gen_corpus_refuses_a_bad_seed(seed, message):
+    with pytest.raises(ValueError, match=message):
+        gen_corpus(gen_hierarchy(2, 2), 3, 64, seed)
+
+
 def test_gen_corpus_refuses_a_root_only_hierarchy():
     with pytest.raises(ValueError, match="label besides the root"):
         gen_corpus(LabelHierarchy(names=["root"], parent={}), 3, 64, seed=0)
@@ -162,7 +179,7 @@ def test_gen_corpus_refuses_a_root_only_hierarchy():
 def test_gen_corpus_takes_numpy_integers_as_ints():
     h = gen_hierarchy(2, 3)
     docs = gen_corpus(h, np.int64(5), np.int32(64), seed=3)
-    assert docs == gen_corpus(h, 5, 64, seed=3)
+    assert docs == gen_corpus(h, 5, 64, seed=3) == gen_corpus(h, 5, 64, seed=np.uint32(3))
     assert {type(t) for ex in docs for t in ex.tokens} == {int}
 
 
@@ -219,6 +236,31 @@ def test_a_redraw_after_the_first_chunk_gives_the_whole_reference_corpus():
     assert datagen._walk_corpus(paths, datagen._CHUNK_DOCS, vocab, seed) is not None
     assert datagen._walk_corpus(paths, n_docs, vocab, seed) is None
     assert gen_corpus(h, n_docs, vocab, seed) == _reference_gen_corpus(h, n_docs, vocab, seed)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), ONE_LABEL_PATH, SINGLE_LEAF])
+def test_each_distinct_token_id_is_one_int_object(shape):
+    # (3, 4) takes the walk, across chunks; the other two take the loop
+    h = gen_hierarchy(*shape) if isinstance(shape, tuple) else shape
+    docs = gen_corpus(h, 3 * datagen._CHUNK_DOCS + 1, 2048, seed=7)
+    tokens = [t for ex in docs for t in ex.tokens]
+    assert len({id(t) for t in tokens}) == len(set(tokens))
+    assert {type(t) for t in tokens} == {int}
+
+
+def test_corpus_memory_is_its_lists_and_one_int_per_distinct_id():
+    # 8192 documents hold 246,378 tokens of 2048 ids: about 4 MB live with
+    # one int per distinct id, 10.9 MB with an int object per token
+    h = gen_hierarchy(3, 4)
+    gen_corpus(h, 1, 2048, seed=7)
+    tracemalloc.start()
+    try:
+        docs = gen_corpus(h, 8192, 2048, seed=7)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(docs) == 8192
+    assert live < 6e6
 
 
 # 2**31 + 1 redraws about half its 32-bit halves and 2**62 + 1 a quarter of
