@@ -9,9 +9,9 @@ token pools so the labels are learnable by a bag-of-words encoder.
 File formats: taxonomy text ("parent<TAB>child1<TAB>child2..." per line)
 and JSON-lines datasets ({"tokens": [...], "labels": [...]}).
 
-The id rule, stated once in `_checked_ids`: a document's ids are a list
-or tuple of ints (numpy integers count, bool never does), each >= 0 and,
-when a limit is given, below it. Every reader of ids defers to it.
+The id rule, stated once in `_checked_ids`: ids are a list or tuple of ints
+(numpy integers count, bool never does), each >= 0 and below any limit.
+All readers, files too, judge ids by `_ids_by_doc`; the rule names refusals.
 """
 
 from __future__ import annotations
@@ -380,9 +380,10 @@ def save_dataset(examples, path):
 
 
 def load_dataset(path, vocab_size=None, num_labels=None):
-    """Read a JSONL dataset whose ids keep the id rule below vocab_size
-    and num_labels; ValueError names the file, the line and the id."""
-    out = []
+    """Read a JSONL dataset, parse every line, then check_ids its ids below
+    vocab_size and num_labels. ValueError names the file, the line and the
+    first fault: JSON or shape, then a token id, then a label id."""
+    out, names = [], []
     with prefix_errors(path):
         for lineno, raw in read_lines(path):
             line = raw.strip()
@@ -392,9 +393,12 @@ def load_dataset(path, vocab_size=None, num_labels=None):
                 obj = json.loads(line)
                 if not isinstance(obj, dict) or "labels" not in obj:
                     raise ValueError("missing 'labels'")
-                tokens = _checked_ids(obj.get("tokens", []), vocab_size, "token")
-                labels = _checked_ids(obj["labels"], num_labels, "label")
-            out.append(Example(tokens=tokens, labels=labels))
+            out.append(Example(tokens=obj.get("tokens", []), labels=obj["labels"]))
+            names.append(f"line {lineno}")
+        check_ids(out, vocab_size, num_labels, names)
+    shared = {}.setdefault  # one int per distinct token id; check_ids refused bools
+    for ex in out:  # a document at a time, so the peak stays the check's
+        ex.tokens = [shared(t, t) for t in ex.tokens]
     return out
 
 
@@ -408,33 +412,32 @@ def _checked_ids(ids, limit, what):
             raise ValueError(f"{what} id {i} is negative")
         if limit is not None and i >= limit:
             raise ValueError(f"{what} id {i} outside [0, {limit})")
-    return ids
 
 
-def _ids_by_doc(id_lists, limit, what):
-    """Per-document id lists as (doc index, id) int64 arrays, by a fast
-    path that accepts what the id rule accepts (for limits below 2**63):
-    array("q") takes only ints, numpy integers and bools that fit int64,
-    and a bool reads as 0 or 1, so only ids <= 1 need a type look. On any
-    refusal the rule judges each document, so the error is its own."""
+def _ids_by_doc(id_lists, limit, what, names=None):
+    """Per-document id lists as (doc index, id) int64 arrays, by a fast path
+    accepting what the id rule accepts (a limit below 2**63, or None: then ids
+    is None if one is past int64): array("q") takes only ints, numpy integers
+    and bools that fit int64, a bool reads as 0 or 1, so only ids <= 1 need a
+    type look. The rule judges a refusal, per names[doc] or "doc {doc}"."""
     ids = flat = None
     if all(isinstance(doc_ids, _ID_CONTAINERS) for doc_ids in id_lists):  # a str or dict would chain as ids
         flat = list(chain.from_iterable(id_lists))
         with suppress(TypeError, OverflowError):  # a float, str, list, np.bool_ or int past int64
             ids = np.frombuffer(array("q", flat), dtype=np.int64)
-    if ids is None or ids.size and (ids.min() < 0 or ids.max() >= limit) or any(
+    if ids is None or ids.size and (ids.min() < 0 or limit is not None and ids.max() >= limit) or any(
         type(flat[i]) is bool for i in np.flatnonzero(ids <= 1).tolist()
     ):
         for doc, doc_ids in enumerate(id_lists):
-            with prefix_errors(f"doc {doc}"):
+            with prefix_errors(f"doc {doc}" if names is None else names[doc]):
                 _checked_ids(doc_ids, limit, what)
     return np.repeat(np.arange(len(id_lists)), list(map(len, id_lists))), ids
 
 
-def check_ids(examples, vocab_size, num_labels):
-    """The id checks of count_matrix and label_matrix, building neither."""
-    _ids_by_doc([ex.tokens for ex in examples], vocab_size, "token")
-    _ids_by_doc([ex.labels for ex in examples], num_labels, "label")
+def check_ids(examples, vocab_size, num_labels, names=None):
+    """The id checks of count_matrix, then label_matrix, building neither."""
+    _ids_by_doc([ex.tokens for ex in examples], vocab_size, "token", names)
+    _ids_by_doc([ex.labels for ex in examples], num_labels, "label", names)
 
 
 def _counts(rows, ids, n, width) -> np.ndarray:

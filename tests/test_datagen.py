@@ -292,6 +292,70 @@ def test_dataset_round_trip(tmp_path):
     assert [(x.tokens, x.labels) for x in back] == [(x.tokens, x.labels) for x in docs]
 
 
+def test_loaded_memory_is_its_lists_and_one_int_per_distinct_id(tmp_path):
+    # the saved 8192-document corpus reloads as about 4 MB live, as
+    # generated; with an int object per token it read 10 MB
+    path = tmp_path / "docs.jsonl"
+    save_dataset(gen_corpus(gen_hierarchy(3, 4), 8192, 2048, seed=7), path)
+    load_dataset(path, 2048, 85)
+    tracemalloc.start()
+    try:
+        docs = load_dataset(path, 2048, 85)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    tokens = [t for ex in docs for t in ex.tokens]
+    assert len(docs) == 8192
+    assert len({id(t) for t in tokens}) == len(set(tokens))
+    assert live < 6e6
+
+
+def test_load_dataset_runs_the_id_rule_only_on_a_refusal(tmp_path, monkeypatch):
+    path = tmp_path / "docs.jsonl"
+    docs = gen_corpus(gen_hierarchy(2, 3), 50, 64, seed=4)
+    save_dataset(docs, path)
+    ruled = []
+
+    def rule(ids, limit, what):
+        ruled.append(ids)
+        _checked_ids(ids, limit, what)
+
+    monkeypatch.setattr(datagen, "_checked_ids", rule)
+    for limits in ((64, 13), (None, None)):
+        back = load_dataset(path, *limits)
+        assert [(x.tokens, x.labels) for x in back] == [(x.tokens, x.labels) for x in docs]
+    assert ruled == []
+    docs[30].tokens[5] = 64
+    save_dataset(docs, path)
+    with pytest.raises(ValueError, match=r"docs.jsonl: line 31: token id 64 outside \[0, 64\)$"):
+        load_dataset(path, 64, 13)
+    assert ruled
+
+
+@pytest.mark.parametrize(
+    "lines,message",
+    [
+        # token ids are judged before label ids, whatever their lines
+        (['{"labels": [0]}', '{"labels": [9]}', '{"labels": [0]}', '{"tokens": [99], "labels": [0]}'],
+         r"line 4: token id 99 outside \[0, 4\)"),
+        # every line parses before any id is judged
+        (['{"labels": [0]}', '{"tokens": [-1], "labels": [0]}', '{"labels": '], "line 3: "),
+    ],
+    ids=["tokens-before-labels", "lines-before-ids"],
+)
+def test_load_dataset_names_faults_in_check_order(tmp_path, lines, message):
+    p = tmp_path / "bad.jsonl"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {message}"):
+        load_dataset(p, vocab_size=VOCAB, num_labels=LABELS)
+
+
+def test_load_dataset_without_limits_takes_ids_past_int64(tmp_path):
+    p = tmp_path / "preds.jsonl"
+    p.write_text('{"labels": [18446744073709551616]}\n', encoding="utf-8")
+    assert [(x.tokens, x.labels) for x in load_dataset(p)] == [([], [2**64])]
+
+
 def test_load_dataset_skips_blank_lines(tmp_path):
     p = tmp_path / "docs.jsonl"
     p.write_text('\n{"tokens": [1], "labels": [2]}\n  \n\n{"labels": [3]}\n', encoding="utf-8")
@@ -384,25 +448,28 @@ _doc_ids = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(id_lists=st.lists(_doc_ids, max_size=4))
-def test_ids_by_doc_accepts_exactly_what_the_rule_accepts(id_lists):
+@given(id_lists=st.lists(_doc_ids, max_size=4), limit=st.sampled_from([10, None]))
+def test_ids_by_doc_accepts_exactly_what_the_rule_accepts(id_lists, limit):
     first_error = None
     for doc, ids in enumerate(id_lists):
         try:
-            _checked_ids(ids, 10, "token")
+            _checked_ids(ids, limit, "token")
         except ValueError as exc:
             first_error = f"doc {doc}: {exc}"
             break
     if first_error is not None:
         with pytest.raises(ValueError) as refused:
-            _ids_by_doc(id_lists, 10, "token")
+            _ids_by_doc(id_lists, limit, "token")
         assert str(refused.value) == first_error
         return
-    rows, ids = _ids_by_doc(id_lists, 10, "token")
+    rows, ids = _ids_by_doc(id_lists, limit, "token")
     flat = [i for doc_ids in id_lists for i in doc_ids]
+    assert rows.tolist() == [doc for doc, doc_ids in enumerate(id_lists) for _ in doc_ids]
+    if any(i >= 2**63 for i in flat):  # only a None limit takes these
+        assert limit is None and ids is None
+        return
     assert ids.dtype == np.int64
     assert np.array_equal(ids, np.array(flat, dtype=np.int64))
-    assert rows.tolist() == [doc for doc, doc_ids in enumerate(id_lists) for _ in doc_ids]
 
 
 def test_count_and_label_matrices_accept_empty_id_lists():
