@@ -1,7 +1,8 @@
 """Command-line entry point: entropy, build-tree, oracle, gen-data,
-train, eval. Every subcommand is deterministic; gen-data and train take
-their seed from --seed. Every failure, from HILL_LOG, the command line or
-a module, exits 1 with one `error:` line. HILL_LOG names the logging level."""
+train, eval, compare. Every subcommand is deterministic; gen-data and
+train take their seed from --seed, compare from --seeds. Every failure,
+from HILL_LOG, the command line or a module, exits 1 with one `error:`
+line. HILL_LOG names the logging level."""
 
 from __future__ import annotations
 
@@ -115,11 +116,22 @@ def _cmd_eval(args):
     print(f"macro_f1 {macro:.4f}")
 
 
+def _cmd_compare(args):
+    if args.ks:
+        arms = [{"K": k} for k in args.ks]
+    else:
+        arms = [{"lambda_clr": args.lam}, {"lambda_clr": 0.0}]
+    config = HillConfig(epochs=args.epochs)
+    for row in experiments.compare(config, arms, args.seeds, *experiments.default_dataset()):
+        print(json.dumps(row, sort_keys=True))
+
+
 # each integer flag's lowest and highest value, checked before any command runs
 FLAG_BOUNDS = {
     "--height": (2, math.inf), "--depth": (2, math.inf), "--branching": (2, math.inf),
     "--n-train": (1, math.inf), "--n-dev": (1, math.inf), "--labels": (1, math.inf),
     "--seed": (0, math.inf), "--vocab": (1, 2**63),  # gen_corpus's largest vocabulary
+    "--epochs": (1, math.inf), "--ks": (2, math.inf), "--seeds": (0, math.inf),
 }
 
 
@@ -171,6 +183,14 @@ def build_parser():
     p.add_argument("--gold", required=True)
     p.add_argument("--labels", type=int, help="label count for macro averaging")
     p.set_defaults(func=_cmd_eval)
+
+    p = sub.add_parser("compare", help="train arms per seed on the default dataset")
+    arms = p.add_mutually_exclusive_group(required=True)
+    arms.add_argument("--ks", type=int, nargs="+", help="one arm per coding-tree height")
+    arms.add_argument("--lam", type=float, help="arms lambda_clr=LAM and lambda_clr=0")
+    p.add_argument("--seeds", type=int, nargs="+", default=[experiments.DEFAULT_SEED])
+    p.add_argument("--epochs", type=int, default=20)
+    p.set_defaults(func=_cmd_compare)
     return parser
 
 
@@ -185,9 +205,10 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         for flag, (low, high) in FLAG_BOUNDS.items():
             value = getattr(args, flag[2:].replace("-", "_"), None)  # None: unset or not ours
-            if value is not None and not low <= value <= high:
-                bound = f"at least {low}" if value < low else f"at most {high}"
-                raise ValueError(f"{flag} must be {bound}, got {value}")
+            for v in value if isinstance(value, list) else [value]:  # each of --ks, --seeds
+                if v is not None and not low <= v <= high:
+                    bound = f"at least {low}" if v < low else f"at most {high}"
+                    raise ValueError(f"{flag} must be {bound}, got {v}")
         args.func(args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Reusable experiment recipes on the default synthetic dataset:
 `run_training`, the one composer of a training run, and `compare`, which
-trains arms of config fields per seed through it. `scripts/compare.py`
-runs the paper's two ablations with it: the tree height (`--ks 2 3 4 5
+trains arms of config fields per seed through it. `hill compare` runs
+the paper's two ablations with it: the tree height (`--ks 2 3 4 5
 --epochs 8`) and the contrastive weight (`--lam 0.1 --seeds 42 43 44`)."""
 
 from __future__ import annotations

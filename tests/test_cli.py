@@ -437,8 +437,12 @@ def test_gen_data_rejects_empty_vocabulary(tmp_path, capsys):
          f"--vocab must be at most {2**63}, got {2**63 + 1}"),
         (["build-tree", "--height", "1"], "--height must be at least 2, got 1"),
         (["oracle", "--height", "1"], "--height must be at least 2, got 1"),
+        (["compare", "--ks", "1"], "--ks must be at least 2, got 1"),
+        (["compare", "--ks", "2", "--seeds", "42", "-1"], "--seeds must be at least 0, got -1"),
+        (["compare", "--lam", "0.1", "--epochs", "0"], "--epochs must be at least 1, got 0"),
     ],
-    ids=["depth", "branching", "vocab-above-2**63", "build-tree-height", "oracle-height"],
+    ids=["depth", "branching", "vocab-above-2**63", "build-tree-height", "oracle-height",
+         "compare-ks", "compare-seeds", "compare-epochs"],
 )
 def test_every_integer_flag_is_bounded_before_the_command_runs(
     tmp_path, capsys, bridge_file, argv, why
@@ -447,6 +451,7 @@ def test_every_integer_flag_is_bounded_before_the_command_runs(
         "gen-data": ["--out", str(tmp_path / "data")],
         "build-tree": ["--graph", str(bridge_file), "--out", str(tmp_path / "tree.json")],
         "oracle": ["--graph", str(bridge_file)],
+        "compare": [],
     }
     assert cli_error(capsys, argv[:1] + files[argv[0]] + argv[1:]) == f"error: {why}"
 
@@ -464,12 +469,36 @@ def test_gen_data_takes_the_largest_vocabulary(tmp_path, capsys):
         (["train", "--data", "data"], "the following arguments are required: --out"),
         (["fly"], "argument command: invalid choice: 'fly' (choose from "),
         ([], "the following arguments are required: command"),
+        (["compare", "--ks", "abc"], "argument --ks: invalid int value: 'abc'"),
+        (["compare", "--ks", "2", "--lam", "0.1"], "argument --lam: not allowed with argument --ks"),
+        (["compare"], "one of the arguments --ks --lam is required"),
+        (["compare", "--ks", "99", "--epochs", "1"], "height 99 not realizable on 85 vertices"),
     ],
-    ids=["non-integer", "missing-flag", "unknown-command", "no-command"],
+    ids=["non-integer", "missing-flag", "unknown-command", "no-command", "compare-non-integer",
+         "compare-both-arms", "compare-no-arms", "compare-unrealizable-height"],
 )
 def test_malformed_command_line_is_one_error_line(tmp_path, capsys, monkeypatch, argv, why):
     monkeypatch.chdir(tmp_path)
     assert cli_error(capsys, argv).startswith(f"error: {why}")
+
+
+def compare_row(capsys, *args):
+    """`hill compare`'s one stdout JSON row."""
+    capsys.readouterr()
+    assert main(["compare", *args]) == 0
+    [line] = capsys.readouterr().out.splitlines()
+    return json.loads(line)
+
+
+def test_compare_ablations_train_the_same_default_run(capsys):
+    # both ablations train the default config at seed 42, one epoch, lambda 0.1
+    sweep = compare_row(capsys, "--ks", "2", "--epochs", "1")
+    assert sweep["seed"] == 42 and [arm["K"] for arm in sweep["arms"]] == [2]
+    lam = compare_row(capsys, "--lam", "0.1", "--seeds", "42", "--epochs", "1")
+    assert lam["seed"] == 42 and [arm["lambda_clr"] for arm in lam["arms"]] == [0.1, 0.0]
+    assert set(sweep["arms"][0]) == {"K", "dev_micro_f1", "dev_macro_f1"}
+    for f in ("dev_micro_f1", "dev_macro_f1"):
+        assert sweep["arms"][0][f] == lam["arms"][0][f]
 
 
 def test_help_still_prints_usage_and_exits_0(capsys):

@@ -1,9 +1,5 @@
 import json
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +12,6 @@ from hill.coding_tree import initial_tree
 from hill.datagen import Example, LabelHierarchy, gen_corpus, hierarchy_to_graph
 from hill.entropy_min import build_coding_tree
 from hill.hill_model import ETA_MODES, HillConfig, HillModel
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_compare_arms_are_the_runs_final_f1():
@@ -110,48 +104,6 @@ def test_run_training_refuses_a_bad_token_id_before_making_out(tmp_path):
     with pytest.raises(ValueError, match=r"^doc 3: token id 5000 outside \[0, 64\)$"):
         experiments.run_training(config, hierarchy, train_docs, dev_docs, 64, out=out)
     assert not out.exists()
-
-
-def run_script(name, *args):
-    """The script's (returncode, stdout lines, stderr), run against this
-    checkout's src."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    cmd = [sys.executable, str(ROOT / "scripts" / name), *args]
-    proc = subprocess.run(
-        cmd, capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path}
-    )
-    return proc.returncode, proc.stdout.splitlines(), proc.stderr
-
-
-def compare_row(*args):
-    """compare.py's one stdout JSON row."""
-    code, lines, stderr = run_script("compare.py", *args)
-    assert code == 0, stderr
-    assert len(lines) == 1, lines
-    return json.loads(lines[0])
-
-
-def test_experiment_scripts_train_the_same_default_run():
-    # both ablations train the default config at seed 42, one epoch, lambda 0.1
-    sweep = compare_row("--ks", "2", "--epochs", "1")
-    assert sweep["seed"] == 42 and [arm["K"] for arm in sweep["arms"]] == [2]
-    lam = compare_row("--lam", "0.1", "--seeds", "42", "--epochs", "1")
-    assert lam["seed"] == 42 and [arm["lambda_clr"] for arm in lam["arms"]] == [0.1, 0.0]
-    assert set(sweep["arms"][0]) == {"K", "dev_micro_f1", "dev_macro_f1"}
-    for f in ("dev_micro_f1", "dev_macro_f1"):
-        assert sweep["arms"][0][f] == lam["arms"][0][f]
-
-
-@pytest.mark.parametrize(
-    "args, message",
-    [
-        (["--ks", "99", "--epochs", "1"], "error: height 99 not realizable on 85 vertices"),
-        (["--lam", "0.1", "--epochs", "0"], "error: epochs must be at least 1, got 0"),
-    ],
-)
-def test_compare_script_fails_with_one_error_line(args, message):
-    code, lines, stderr = run_script("compare.py", *args)
-    assert (code, lines, stderr.splitlines()) == (1, [], [message])
 
 
 @pytest.mark.parametrize(
