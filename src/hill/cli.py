@@ -120,6 +120,8 @@ def _cmd_compare(args):
     if args.ks:
         arms = [{"K": k} for k in args.ks]
     else:
+        if not 0 <= args.lam < math.inf:  # False for nan too
+            raise ValueError(f"--lam must be non-negative and finite, got {args.lam}")
         arms = [{"lambda_clr": args.lam}, {"lambda_clr": 0.0}]
     config = HillConfig(epochs=args.epochs)
     for row in experiments.compare(config, arms, args.seeds, *experiments.default_dataset()):

@@ -100,12 +100,23 @@ class HillConfig:
 class BagOfWordsEncoder:
     """Token-count lookup-sum followed by one linear+relu layer.
 
-    The backward adds ``counts.T @ gsum`` to the embedding's gradient
-    only on the rows of tokens the batch holds (about 290 of 2048 at the
-    defaults). Each such row is the same length-B dot product over the
-    same operands as in the full product, and every other row would
-    receive a sum of ±0.0 terms, which changes no value (nor the sign of
-    the +0.0 that zero_grad writes); so the gradient keeps its bits."""
+    The lookup-sum has two forms, chosen by whether a backward follows.
+    A training step (``train=True``) works on the columns of the tokens
+    the batch holds, ``u`` (about 290 of 2048 at the defaults): it sums
+    ``counts[:, u] @ embedding[u]`` and keeps ``u`` and that column block
+    for the backward. Dropping the all-zero columns changes the GEMM's
+    summation order, so a sum can differ from the dense product's in its
+    last bits, and the trained parameters with it. Prediction keeps the dense ``counts @ embedding`` bit for
+    bit: a 256-document predict batch touches about half the vocabulary,
+    where finding and cutting the columns costs more than the GEMM they
+    save. Both forms check the full counts and the full embedding.
+
+    The backward adds ``counts[:, u].T @ gsum`` to the embedding's
+    gradient only on the rows in ``u``. Each such row is the same
+    length-B dot product over the same operands as in the full product
+    ``counts.T @ gsum``, and every other row would receive a sum of ±0.0
+    terms, which changes no value (nor the sign of the +0.0 that
+    zero_grad writes); so the gradient keeps its bits."""
 
     def __init__(self, vocab_size, d_b, rng):
         self.vocab_size = vocab_size
@@ -114,18 +125,26 @@ class BagOfWordsEncoder:
         )
         self.lin = tn.LinearLayer(d_b, d_b, rng, name="encoder.out")
 
-    def encode_counts(self, counts):
-        counts = np.asarray(counts, dtype=np.float64)
-        summed = tn.matmul(counts, self.embedding.value, lhs_name="token counts")
-        z, lctx = self.lin.forward(summed)
-        return tn.relu(z), (counts, z, lctx)
+    def encode_counts(self, counts, train=False):
+        """(h, ctx); only a ``train=True`` ctx feeds ``backward``."""
+        emb = self.embedding.value
+        if not train:
+            summed = tn.matmul(counts, emb, lhs_name="token counts")
+            return tn.relu(self.lin.forward(summed)[0]), None
+        counts = tn.as_matrix(counts, "token counts")
+        tn.check_finite(emb, self.embedding.name)
+        if counts.shape[1] != emb.shape[0]:
+            raise ValueError(f"matmul shape mismatch: {counts.shape} x {emb.shape}")
+        u = np.flatnonzero(counts.any(axis=0))
+        cols = np.take(counts, u, axis=1)
+        z, lctx = self.lin.forward(cols @ emb[u])
+        return tn.relu(z), (u, cols, z, lctx)
 
     def backward(self, grad_h, ctx):
-        counts, z, lctx = ctx
+        u, cols, z, lctx = ctx
         gz = tn.relu_backward(grad_h, z)
         gsum = self.lin.backward(gz, lctx)
-        u = np.flatnonzero(counts.any(axis=0))
-        self.embedding.grad[u] += np.take(counts, u, axis=1).T @ gsum
+        self.embedding.grad[u] += cols.T @ gsum
 
     def params(self):
         return [self.embedding] + self.lin.params()
@@ -420,9 +439,10 @@ class HillModel:
 
     # forward / backward
 
-    def _forward(self, counts):
-        """Encoder to sigmoid: (h, ht, probs, ctx_enc, ctx_lp, ctx_s, ctx_cls)."""
-        h, ctx_enc = self.encoder.encode_counts(counts)
+    def _forward(self, counts, train=False):
+        """Encoder to sigmoid: (h, ht, probs, ctx_enc, ctx_lp, ctx_s, ctx_cls);
+        `train` picks the encoder's form for a step that runs backward."""
+        h, ctx_enc = self.encoder.encode_counts(counts, train)
         a1, ctx_lp = self.label_proj.forward_batch(h, self.structure.agg[0])
         ht, ctx_s = self.structure.forward_batch(a1)
         logits, ctx_cls = self.classifier.forward(np.concatenate([h, ht], axis=1))
@@ -430,7 +450,7 @@ class HillModel:
 
     def forward_batch(self, counts, y01):
         lam = self.config.lambda_clr
-        h, ht, p, ctx_enc, ctx_lp, ctx_s, ctx_cls = self._forward(counts)
+        h, ht, p, ctx_enc, ctx_lp, ctx_s, ctx_cls = self._forward(counts, train=True)
         l_c, ctx_bce = bce_loss(p, y01)
         if lam > 0:
             hp, ctx_pt = self.proj_text.forward(h)

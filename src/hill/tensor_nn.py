@@ -10,8 +10,8 @@ op that reads it: ``matmul``, ``relu``, ``sigmoid`` or a loss; parameter
 values are checked the same way on every pass. Glue between ops (bias
 adds, concatenation, slicing) checks nothing, because any non-finite
 value it passes on reaches one of those ops. Arrays from outside keep
-their own named checks: the token counts (by the encoder's ``matmul``,
-under that name), the losses' inputs, each ``Parameter`` value on
+their own named checks: the token counts (by the encoder, under that
+name), the losses' inputs, each ``Parameter`` value on
 construction and the gradients at ``Adam.step``.
 
 The elementwise kernels at the model's edges (``sigmoid`` here, the BCE

@@ -440,9 +440,13 @@ def test_gen_data_rejects_empty_vocabulary(tmp_path, capsys):
         (["compare", "--ks", "1"], "--ks must be at least 2, got 1"),
         (["compare", "--ks", "2", "--seeds", "42", "-1"], "--seeds must be at least 0, got -1"),
         (["compare", "--lam", "0.1", "--epochs", "0"], "--epochs must be at least 1, got 0"),
+        (["compare", "--lam", "-1"], "--lam must be non-negative and finite, got -1.0"),
+        (["compare", "--lam", "nan"], "--lam must be non-negative and finite, got nan"),
+        (["compare", "--lam", "inf"], "--lam must be non-negative and finite, got inf"),
     ],
     ids=["depth", "branching", "vocab-above-2**63", "build-tree-height", "oracle-height",
-         "compare-ks", "compare-seeds", "compare-epochs"],
+         "compare-ks", "compare-seeds", "compare-epochs", "compare-lam-negative",
+         "compare-lam-nan", "compare-lam-inf"],
 )
 def test_every_integer_flag_is_bounded_before_the_command_runs(
     tmp_path, capsys, bridge_file, argv, why

@@ -650,13 +650,17 @@ def test_training_is_deterministic():
 # -- the embedding path, bit for bit ---------------------------------
 
 
-def dense_encoder_backward(encoder, grad_h, ctx):
+def dense_encoder_backward(counts):
     """BagOfWordsEncoder.backward with the full counts.T @ gsum product
-    over every token row: the reference the touched-rows form must match
-    bit for bit."""
-    counts, z, lctx = ctx
-    gsum = encoder.lin.backward(tn.relu_backward(grad_h, z), lctx)
-    encoder.embedding.grad += counts.T @ gsum
+    over every token row, for the `counts` the test fed forward: the
+    reference the touched-rows form must match bit for bit."""
+
+    def backward(encoder, grad_h, ctx):
+        *_, z, lctx = ctx
+        gsum = encoder.lin.backward(tn.relu_backward(grad_h, z), lctx)
+        encoder.embedding.grad += counts.T @ gsum
+
+    return backward
 
 
 def fresh_model(config, hierarchy):
@@ -674,44 +678,95 @@ def embedding_grads(model, counts, y, monkeypatch):
         model.zero_grad()
         with monkeypatch.context() as patch:
             if dense:
-                patch.setattr(BagOfWordsEncoder, "backward", dense_encoder_backward)
+                patch.setattr(BagOfWordsEncoder, "backward", dense_encoder_backward(counts))
             model.backward(ctx)
         out.append(model.encoder.embedding.grad.copy())
     return out
 
 
-def test_embedding_gradient_equals_the_dense_product_bit_for_bit(monkeypatch):
+def default_batches(n=50):
+    """A default model and the (counts, labels) of n default training batches."""
     hierarchy, train_docs, _ = default_dataset()
     config = HillConfig()
-    model = fresh_model(config, hierarchy)
     perm = np.random.default_rng(0).permutation(len(train_docs))
-    for start in range(0, 50 * config.batch_size, config.batch_size):
+    batches = []
+    for start in range(0, n * config.batch_size, config.batch_size):
         batch = [train_docs[i] for i in perm[start : start + config.batch_size]]
-        got, want = embedding_grads(
-            model, count_matrix(batch, DEFAULT_VOCAB), label_matrix(batch, hierarchy.num_labels),
-            monkeypatch,
+        batches.append(
+            (count_matrix(batch, DEFAULT_VOCAB), label_matrix(batch, hierarchy.num_labels))
         )
+    return fresh_model(config, hierarchy), batches
+
+
+# a repeated token, the last token id and a document with no tokens, which
+# only lambda_clr = 0 accepts; then a batch with no token at all
+EDGE_BATCHES = [
+    [Example([7, 7, 7, DEFAULT_VOCAB - 1], [1, 5]), Example([], [2]),
+     Example([DEFAULT_VOCAB - 1, 0, 7], [3])],
+    [Example([], [1]), Example([], [2])],
+]
+
+
+def edge_model_and_batches():
+    hierarchy = gen_hierarchy(3, 4)
+    model = fresh_model(HillConfig(lambda_clr=0.0), hierarchy)
+    batches = [
+        (count_matrix(docs, DEFAULT_VOCAB), label_matrix(docs, hierarchy.num_labels))
+        for docs in EDGE_BATCHES
+    ]
+    return model, batches
+
+
+def test_embedding_gradient_equals_the_dense_product_bit_for_bit(monkeypatch):
+    model, batches = default_batches()
+    for counts, y in batches:
+        got, want = embedding_grads(model, counts, y, monkeypatch)
         assert np.count_nonzero(want.any(axis=1)) < DEFAULT_VOCAB // 2  # most rows untouched
         assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
 
 def test_embedding_gradient_bit_for_bit_on_edge_documents(monkeypatch):
-    # a repeated token, the last token id and a document with no tokens,
-    # which only lambda_clr = 0 accepts
-    hierarchy = gen_hierarchy(3, 4)
-    model = fresh_model(HillConfig(lambda_clr=0.0), hierarchy)
-    v = DEFAULT_VOCAB
-    docs = [Example([7, 7, 7, v - 1], [1, 5]), Example([], [2]), Example([v - 1, 0, 7], [3])]
-    got, want = embedding_grads(
-        model, count_matrix(docs, v), label_matrix(docs, hierarchy.num_labels), monkeypatch
-    )
-    assert np.count_nonzero(got.any(axis=1)) == 3
-    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+    model, batches = edge_model_and_batches()
+    for (counts, y), touched in zip(batches, (3, 0)):
+        got, want = embedding_grads(model, counts, y, monkeypatch)
+        assert np.count_nonzero(got.any(axis=1)) == touched
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+def encoder_sums(model, counts, y, monkeypatch):
+    """The lookup-sums the encoder hands its linear layer in a training
+    step and in a prediction on the same counts."""
+    lin = model.encoder.lin
+    seen, forward = [], lin.forward
+
+    def spy(x):
+        seen.append(x.copy())
+        return forward(x)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lin, "forward", spy)
+        model.forward_batch(counts, y)
+        model.predict_probs(counts)
+    return seen
+
+
+@pytest.mark.parametrize("batches", [default_batches, edge_model_and_batches])
+def test_training_and_predict_forms_of_the_lookup_sum(monkeypatch, batches):
+    """A training step sums only the touched columns, which may round
+    differently from the dense product; prediction is the dense product."""
+    model, batches = batches()
+    emb = model.encoder.embedding.value
+    for counts, y in batches:
+        in_step, in_predict = encoder_sums(model, counts, y, monkeypatch)
+        dense = counts @ emb
+        assert np.array_equal(in_predict, dense)
+        # within 1e-12 of each entry's sum of term magnitudes
+        assert (np.abs(in_step - dense) <= 1e-12 * (np.abs(counts) @ np.abs(emb))).all()
 
 
 def test_default_step_kernel_call_counts(monkeypatch):
     # one default forward_batch and backward on 32 documents calls
-    # check_finite 34 times and matmul 12 times; neither may grow
+    # check_finite 34 times and matmul 11 times; neither may grow
     hierarchy, train_docs, _ = default_dataset(n_train=32, n_dev=1)
     model = fresh_model(HillConfig(), hierarchy)
     counts = count_matrix(train_docs, DEFAULT_VOCAB)
@@ -732,7 +787,7 @@ def test_default_step_kernel_call_counts(monkeypatch):
     _, _, ctx = model.forward_batch(counts, y)
     model.backward(ctx)
     assert calls["check_finite"] <= 34
-    assert calls["matmul"] <= 12
+    assert calls["matmul"] <= 11
 
 
 def longdouble_paper_literal(h, h_hat, tau):

@@ -34,7 +34,8 @@ def test_benchmark_workloads_import(monkeypatch):
 
 
 def test_tracer_records_label_projector_and_structure_spans(monkeypatch):
-    # the benchmark's per-layer numbers need both classes on the step path
+    # the benchmark's per-layer numbers need these classes on the step path,
+    # the encoder in its training form too
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
 
@@ -47,7 +48,7 @@ def test_tracer_records_label_projector_and_structure_spans(monkeypatch):
         _, _, ctx = model.forward_batch(counts, y)
         model.backward(ctx)
     recorded = set(tracer.totals())
-    for part in ("label_proj", "structure"):
+    for part in ("encoder", "label_proj", "structure"):
         for d in ("fwd", "bwd"):
             assert f"hill_model.{part}.{d}" in recorded
 

@@ -57,7 +57,7 @@ RUNS = {
             (0.3225086985749168, 0.9926273458445041, 0.9726310389339463),
             (0.32232486218868905, 0.9932975871313673, 0.9744397759841618),
         ],
-        "9d075e202d9f629e31fa32b73d7231594786ca6bd53562035774aeb8d2bc6cae",
+        "7c147786f356a75213d9813c3af910e76fd60fcee7eda3e4a5980906b10bbd6c",
     ),
     "variant": (
         {"K": 3, "eta": "mean", "ntxent_form": "paper_literal", "epochs": 3},
@@ -66,7 +66,7 @@ RUNS = {
             (0.37300186325975765, 0.9248146840804801, 0.7645292884949462),
             (0.35276737048279155, 0.9723832253665189, 0.9151544667844557),
         ],
-        "03f3881e3dd559aa32775829e98a468270821c9d317bc72c0ff9ffe0f860f3cd",
+        "0b8c8df33961098e007e4ab4df58a4a579ad44ea620ba6f4c9e083761922f66c",
     ),
 }
 
