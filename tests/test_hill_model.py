@@ -750,7 +750,9 @@ def encoder_sums(model, counts, y, monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("batches", [default_batches, edge_model_and_batches])
+@pytest.mark.parametrize(
+    "batches", [default_batches, edge_model_and_batches], ids=["default", "edge-documents"]
+)
 def test_training_and_predict_forms_of_the_lookup_sum(monkeypatch, batches):
     """A training step sums only the touched columns, which may round
     differently from the dense product; prediction is the dense product."""
